@@ -1,6 +1,6 @@
 # Local targets mirroring the CI jobs so local and CI runs are identical.
 
-.PHONY: verify build test fmt lint bench-compile bench-json stage-bench score-bench vtime-bench scenario-check scenario-json examples ci
+.PHONY: verify build test fmt lint bench-compile bench-json stage-bench score-bench vtime-bench scenario-check scenario-json perfbench-smoke examples ci
 
 # The tier-1 gate: exactly what the driver and the CI `test` job run.
 verify:
@@ -66,8 +66,16 @@ scenario-check:
 scenario-json:
 	cargo run --release -p bench --bin scenario_run -- --skip-over 100000 --out scenario-results scenarios
 
+# Reduced-size smoke run of the repository benchmark (perfbench/, its own
+# Cargo package): every workload, untraced and traced, every metric named in
+# BENCHMARK.json. perfbench drives the library only through its public API,
+# so a change to that API fails here (and in CI) rather than in a benchmark
+# run.
+perfbench-smoke:
+	cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 examples:
 	cargo build --examples
 
 # Everything CI gates on, in one shot.
-ci: fmt lint verify test scenario-check bench-compile examples
+ci: fmt lint verify test scenario-check bench-compile perfbench-smoke examples

@@ -17,6 +17,7 @@
 //! size.
 
 use bench::scenario::{default_scenarios_dir, execute_scenario, load_spec, spec_files, train_for};
+use bench::streaming::{Executor, ExecutorStats};
 use std::path::PathBuf;
 
 fn main() {
@@ -123,14 +124,11 @@ fn main() {
                     out_path.display()
                 );
                 println!(
-                    "    [{}: {} workers, {:.0} stations/s, peak_active {}, \
-                     {} events, {:.1} packets/event]",
+                    "    [{}: {} workers, {:.0} stations/s, {}]",
                     scenario.executor.name(),
                     stats.workers,
                     report.stations as f64 / secs,
-                    stats.peak_active,
-                    stats.events_popped,
-                    stats.packets_per_event()
+                    schedule_summary(scenario.executor, &stats)
                 );
             }
             Err(e) => {
@@ -144,7 +142,52 @@ fn main() {
     }
 }
 
+/// The executor counters of a run, `n/a` where the executor does not
+/// measure them: the pool has no event heap (no events, no coalescing
+/// ratio) and no common clock (its `peak_active` is just the worker count).
+fn schedule_summary(executor: Executor, stats: &ExecutorStats) -> String {
+    match executor {
+        Executor::Pooled => "peak_active n/a, events n/a, packets/event n/a".to_string(),
+        Executor::VirtualTime { .. } => format!(
+            "peak_active {}, {} events, {:.1} packets/event",
+            stats.peak_active,
+            stats.events_popped,
+            stats.packets_per_event()
+        ),
+    }
+}
+
 fn fail(msg: &str) -> ! {
     eprintln!("scenario_run: {msg}");
     std::process::exit(1);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn pooled_runs_print_unmeasured_counters_as_not_applicable() {
+        let stats = ExecutorStats {
+            workers: 2,
+            admitted: 3,
+            peak_active: 2,
+            virtual_secs: 0.0,
+            events_popped: 0,
+            packets: 900,
+        };
+        let pooled = schedule_summary(Executor::Pooled, &stats);
+        assert_eq!(pooled, "peak_active n/a, events n/a, packets/event n/a");
+        let vtime = schedule_summary(
+            Executor::VirtualTime {
+                workers: Some(2),
+                max_slice: None,
+            },
+            &ExecutorStats {
+                events_popped: 6,
+                ..stats
+            },
+        );
+        assert_eq!(vtime, "peak_active 2, 6 events, 150.0 packets/event");
+    }
 }

@@ -519,6 +519,28 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_splice_times_are_errors_that_name_the_splice() {
+        // Admission fails before any window is scored, so an untrained
+        // adversary will do.
+        let untrained = OnlineAdversary::new(
+            classifier::features::FEATURE_DIM,
+            AppKind::COUNT,
+            &classifier::ensemble::EnsembleConfig::default(),
+        );
+        for at in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = StationRun::new(TrafficSpec::bounded(AppKind::Chatting, 3, 10.0))
+                .splice(5.0, DefenseSpec::from_kind(DefenseKind::Padding))
+                .splice(at, DefenseSpec::from_kind(DefenseKind::Orthogonal))
+                .run(&mut PrequentialEvaluator::new(untrained.clone(), 1))
+                .expect_err("a non-finite splice time must be rejected");
+            assert!(
+                err.contains("splice #1") && err.contains("must be finite"),
+                "{at}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn splice_after_session_end_never_fires() {
         // Edge case: the splice time is past the session end, so the defended
         // phase reports zero windows and the run equals an undefended one.

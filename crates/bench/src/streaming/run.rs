@@ -225,8 +225,19 @@ impl<'a> StationRun<'a> {
             PhasePlan::Spec { initial, splices } => {
                 let ctx = StageContext::live(self.app, self.seed, self.calib_secs);
                 let mut phases = vec![(0.0, initial.build(&ctx, self.interfaces)?)];
+                if let Some((index, (at, defense))) = splices
+                    .iter()
+                    .enumerate()
+                    .find(|(_, (at, _))| !at.is_finite())
+                {
+                    return Err(format!(
+                        "splice #{index} ({}) at {at} s: splice times must be finite",
+                        defense.label()
+                    ));
+                }
                 let mut splices = splices;
-                splices.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("splice times must be finite"));
+                // Every time is finite (checked above), so the order is total.
+                splices.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("splice times are finite"));
                 for (at, defense) in &splices {
                     phases.push((*at, defense.build(&ctx, self.interfaces)?));
                 }

@@ -7,36 +7,62 @@
 //! The model is stored as **incremental sufficient statistics** — per-class
 //! counts plus Welford-style running means and centred second moments — so it
 //! learns online via [`OnlineClassifier::partial_fit`] in O(classes × dim)
-//! state and predicts straight off the cached means (no re-derivation on the
-//! hot path); the batch [`train`](GaussianNaiveBayes::train) entry point is a
+//! state; the batch [`train`](GaussianNaiveBayes::train) entry point is a
 //! thin wrapper that feeds the dataset through `partial_fit` once, in dataset
 //! order. Welford's update is numerically stable for the same reason the
 //! shifted accumulation in [`RunningStats`](crate::stream::RunningStats) is:
 //! the second moment is accumulated already centred, so large means with tiny
 //! spreads never catastrophically cancel.
+//!
+//! Prediction reads a cached `(mean, variance, ln variance)` table with one
+//! entry per class and feature. The invariant: class `c`'s entries (its
+//! "row") are recomputed exactly when class `c` trains (and nowhere else),
+//! with the same `(M₂ / n).max(VARIANCE_FLOOR)`
+//! expression [`log_posteriors`](GaussianNaiveBayes::log_posteriors)
+//! evaluates from scratch — so a prediction costs one `ln` per class (the
+//! prior) instead of one per (class, feature), and stays bit-identical to the
+//! recomputing reference. The table is stored feature-major (all classes of
+//! one feature side by side), so a prediction updates every class's
+//! log-likelihood per feature in one contiguous, vectorisable pass.
 
 use crate::dataset::Dataset;
-use crate::kernel::Scratch;
+use crate::kernel::{self, Scratch};
 use crate::{Classifier, OnlineClassifier};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
 /// A Gaussian naive Bayes classifier over incremental sufficient statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GaussianNaiveBayes {
     dim: usize,
     /// Examples absorbed in total (cached sum of `counts`).
     total: u64,
     /// Examples absorbed per class.
     counts: Vec<u64>,
-    /// Welford running mean per class and feature.
-    means: Vec<Vec<f64>>,
-    /// Welford centred second moment `M₂ = Σ (x − mean)²` per class and
-    /// feature (variance = `M₂ / count`).
-    m2s: Vec<Vec<f64>>,
+    /// Welford `(running mean, centred second moment M₂ = Σ (x − mean)²)`
+    /// per class and feature, flat row-major `classes × dim` (variance =
+    /// `M₂ / count`).
+    moments: Vec<(f64, f64)>,
+    /// Cached `(mean, variance, ln variance)` per class and feature — a pure
+    /// function of `counts` and `moments`, refreshed class by class as
+    /// classes train (never serialized). Feature-major: feature `j` owns
+    /// `3 × classes` entries, its means for every class, then the variances,
+    /// then their logarithms.
+    table: Vec<f64>,
 }
 
 /// Variance floor to keep the log-likelihood finite for constant features.
 const VARIANCE_FLOOR: f64 = 1e-6;
+
+/// The variance a class with `count` examples and second moment `m2` has in
+/// one feature — the single expression both the cached table and the
+/// recomputing [`log_posteriors`](GaussianNaiveBayes::log_posteriors) use.
+fn variance(m2: f64, count: u64) -> f64 {
+    if count == 0 {
+        VARIANCE_FLOOR
+    } else {
+        (m2 / count as f64).max(VARIANCE_FLOOR)
+    }
+}
 
 impl GaussianNaiveBayes {
     /// Creates an untrained model for `dim`-dimensional features over
@@ -48,18 +74,23 @@ impl GaussianNaiveBayes {
     /// Panics if `classes` is zero.
     pub fn new(dim: usize, classes: usize) -> Self {
         assert!(classes > 0, "naive Bayes needs at least one class");
-        GaussianNaiveBayes {
+        let mut nb = GaussianNaiveBayes {
             dim,
             total: 0,
             counts: vec![0; classes],
-            means: vec![vec![0.0; dim]; classes],
-            m2s: vec![vec![0.0; dim]; classes],
-        }
+            moments: vec![(0.0, 0.0); classes * dim],
+            table: vec![0.0; 3 * classes * dim],
+        };
+        nb.refresh_all();
+        nb
     }
 
     /// Fits per-class feature means/variances and class priors — a thin
     /// wrapper over one [`partial_fit`](OnlineClassifier::partial_fit) pass in
-    /// dataset order (the equivalence is property-tested).
+    /// dataset order (the equivalence is property-tested). The variance table
+    /// is built once at the end instead of after every example; the result
+    /// is identical because each row depends only on its class's final
+    /// statistics.
     ///
     /// # Panics
     ///
@@ -71,31 +102,24 @@ impl GaussianNaiveBayes {
         );
         let mut nb = GaussianNaiveBayes::new(data.dim(), data.class_count());
         for e in data.examples() {
-            nb.partial_fit(&e.features, e.label);
+            nb.absorb(&e.features, e.label);
         }
+        nb.refresh_all();
         nb
     }
 
-    /// Per-class log posterior (up to a constant) for a feature vector —
-    /// read-only over the cached Welford statistics.
+    /// Per-class log posterior (up to a constant) for a feature vector,
+    /// recomputed from the Welford statistics without the cached table — the
+    /// reference the table-driven [`predict`](Classifier::predict) and
+    /// [`predict_slice`](Classifier::predict_slice) are tested against.
     pub fn log_posteriors(&self, features: &[f64]) -> Vec<f64> {
         let total = self.total.max(1) as f64;
         (0..self.counts.len())
             .map(|c| {
                 let prior = (self.counts[c] as f64 / total).max(1e-12);
-                let n = self.counts[c] as f64;
                 let mut lp = prior.ln();
-                for ((x, m), m2) in features
-                    .iter()
-                    .take(self.dim)
-                    .zip(&self.means[c])
-                    .zip(&self.m2s[c])
-                {
-                    let v = if self.counts[c] == 0 {
-                        VARIANCE_FLOOR
-                    } else {
-                        (m2 / n).max(VARIANCE_FLOOR)
-                    };
+                for (x, &(m, m2)) in features.iter().take(self.dim).zip(self.row(c)) {
+                    let v = variance(m2, self.counts[c]);
                     lp += -0.5 * ((x - m).powi(2) / v + v.ln() + (2.0 * std::f64::consts::PI).ln());
                 }
                 lp
@@ -107,99 +131,15 @@ impl GaussianNaiveBayes {
     pub fn class_count(&self) -> usize {
         self.counts.len()
     }
-}
 
-impl Classifier for GaussianNaiveBayes {
-    fn predict(&self, features: &[f64]) -> usize {
-        // Streaming argmax over the per-class log posteriors, computed with
-        // exactly the arithmetic of `log_posteriors` but never collected.
-        let total = self.total.max(1) as f64;
-        let mut best = 0;
-        let mut best_value = f64::NEG_INFINITY;
-        for c in 0..self.counts.len() {
-            let prior = (self.counts[c] as f64 / total).max(1e-12);
-            let n = self.counts[c] as f64;
-            let mut lp = prior.ln();
-            for ((x, m), m2) in features
-                .iter()
-                .take(self.dim)
-                .zip(&self.means[c])
-                .zip(&self.m2s[c])
-            {
-                let v = if self.counts[c] == 0 {
-                    VARIANCE_FLOOR
-                } else {
-                    (m2 / n).max(VARIANCE_FLOOR)
-                };
-                lp += -0.5 * ((x - m).powi(2) / v + v.ln() + (2.0 * std::f64::consts::PI).ln());
-            }
-            if lp > best_value {
-                best_value = lp;
-                best = c;
-            }
-        }
-        best
+    /// Class `c`'s Welford moments, one per feature.
+    fn row(&self, c: usize) -> &[(f64, f64)] {
+        &self.moments[c * self.dim..(c + 1) * self.dim]
     }
 
-    fn name(&self) -> &'static str {
-        "naive-bayes"
-    }
-
-    fn predict_slice(&self, rows: &[f64], dim: usize, out: &mut Vec<usize>, scratch: &mut Scratch) {
-        assert!(dim > 0, "predict_slice needs a positive feature dimension");
-        // Hoist everything that does not depend on the example out of the
-        // per-row loop: the per-class log priors and the per-(class, feature)
-        // `(variance, ln variance)` pairs — the `ln` calls dominate the
-        // streaming `predict`, and they are invariant across a slice. The
-        // per-row expression keeps the exact association of the scalar path
-        // (`(x−m)²/v + ln v` first, then `+ ln 2π`), so hoisting changes
-        // nothing bit-wise.
-        let classes = self.counts.len();
-        let total = self.total.max(1) as f64;
-        let ln_2pi = (2.0 * std::f64::consts::PI).ln();
-        scratch.a.clear();
-        scratch.b.clear();
-        for c in 0..classes {
-            let prior = (self.counts[c] as f64 / total).max(1e-12);
-            scratch.b.push(prior.ln());
-            let n = self.counts[c] as f64;
-            for m2 in &self.m2s[c] {
-                let v = if self.counts[c] == 0 {
-                    VARIANCE_FLOOR
-                } else {
-                    (m2 / n).max(VARIANCE_FLOOR)
-                };
-                scratch.a.push(v);
-                scratch.a.push(v.ln());
-            }
-        }
-        out.clear();
-        for row in rows.chunks_exact(dim) {
-            let mut best = 0;
-            let mut best_value = f64::NEG_INFINITY;
-            for c in 0..classes {
-                let mut lp = scratch.b[c];
-                let table = &scratch.a[c * self.dim * 2..(c + 1) * self.dim * 2];
-                for ((x, m), vl) in row
-                    .iter()
-                    .take(self.dim)
-                    .zip(&self.means[c])
-                    .zip(table.chunks_exact(2))
-                {
-                    lp += -0.5 * ((x - m).powi(2) / vl[0] + vl[1] + ln_2pi);
-                }
-                if lp > best_value {
-                    best_value = lp;
-                    best = c;
-                }
-            }
-            out.push(best);
-        }
-    }
-}
-
-impl OnlineClassifier for GaussianNaiveBayes {
-    fn partial_fit(&mut self, features: &[f64], label: usize) {
+    /// Welford update of class `label`'s statistics, leaving the variance
+    /// table stale for that row.
+    fn absorb(&mut self, features: &[f64], label: usize) {
         assert!(
             label < self.counts.len(),
             "label {label} out of range for {} classes",
@@ -208,12 +148,8 @@ impl OnlineClassifier for GaussianNaiveBayes {
         self.counts[label] += 1;
         self.total += 1;
         let n = self.counts[label] as f64;
-        for ((&x, m), m2) in features
-            .iter()
-            .take(self.dim)
-            .zip(&mut self.means[label])
-            .zip(&mut self.m2s[label])
-        {
+        let row = &mut self.moments[label * self.dim..(label + 1) * self.dim];
+        for (&x, (m, m2)) in features.iter().zip(row) {
             // Welford: centre against the running mean before and after the
             // mean update.
             let delta = x - *m;
@@ -222,12 +158,158 @@ impl OnlineClassifier for GaussianNaiveBayes {
         }
     }
 
+    /// Recomputes class `c`'s `(mean, variance, ln variance)` entries from
+    /// its statistics.
+    fn refresh_row(&mut self, c: usize) {
+        let classes = self.counts.len();
+        let count = self.counts[c];
+        let row = &self.moments[c * self.dim..(c + 1) * self.dim];
+        for (entry, &(mean, m2)) in self.table.chunks_exact_mut(3 * classes).zip(row) {
+            let v = variance(m2, count);
+            entry[c] = mean;
+            // A variance that did not move (a constant feature on the floor)
+            // keeps its logarithm.
+            if v.to_bits() != entry[classes + c].to_bits() {
+                entry[classes + c] = v;
+                entry[2 * classes + c] = v.ln();
+            }
+        }
+    }
+
+    /// Recomputes every class's table entries.
+    fn refresh_all(&mut self) {
+        for c in 0..self.counts.len() {
+            self.refresh_row(c);
+        }
+    }
+
+    /// The first-maximum argmax of the per-class log posteriors of one row,
+    /// read off the cached table. `lp` holds each class's log prior on entry
+    /// and is the per-class accumulator.
+    ///
+    /// Each feature adds its term to every class in one contiguous pass over
+    /// the table (independent lanes, so the divisions vectorise). Each
+    /// class's accumulator still adds its terms in feature order with the
+    /// exact association of [`log_posteriors`](Self::log_posteriors)
+    /// (`(x−m)²/v + ln v` first, then `+ ln 2π`), so the result is the
+    /// argmax of the reference bit for bit.
+    fn argmax_cached(&self, row: &[f64], lp: &mut [f64]) -> usize {
+        let ln_2pi = (2.0 * std::f64::consts::PI).ln();
+        let classes = self.counts.len();
+        for (&x, entry) in row.iter().zip(self.table.chunks_exact(3 * classes)) {
+            let (means, rest) = entry.split_at(classes);
+            let (vars, ln_vars) = rest.split_at(classes);
+            for (((lp, m), v), ln_v) in lp.iter_mut().zip(means).zip(vars).zip(ln_vars) {
+                *lp += -0.5 * ((x - m).powi(2) / v + ln_v + ln_2pi);
+            }
+        }
+        kernel::argmax(lp)
+    }
+
+    /// Class `c`'s log prior.
+    fn log_prior(&self, c: usize) -> f64 {
+        let total = self.total.max(1) as f64;
+        (self.counts[c] as f64 / total).max(1e-12).ln()
+    }
+}
+
+impl Classifier for GaussianNaiveBayes {
+    fn predict(&self, features: &[f64]) -> usize {
+        kernel::with_buffer(self.counts.len(), [0.0; 8], |lp| {
+            for (c, lp) in lp.iter_mut().enumerate() {
+                *lp = self.log_prior(c);
+            }
+            self.argmax_cached(features, lp)
+        })
+    }
+
+    fn name(&self) -> &'static str {
+        "naive-bayes"
+    }
+
+    fn predict_slice(&self, rows: &[f64], dim: usize, out: &mut Vec<usize>, scratch: &mut Scratch) {
+        assert!(dim > 0, "predict_slice needs a positive feature dimension");
+        // The per-class log priors are the only per-call derivation left
+        // (the table is already cached); hoist them out of the row loop.
+        let classes = self.counts.len();
+        scratch.b.clear();
+        scratch.b.extend((0..classes).map(|c| self.log_prior(c)));
+        out.clear();
+        for row in rows.chunks_exact(dim) {
+            scratch.a.clear();
+            scratch.a.extend_from_slice(&scratch.b);
+            out.push(self.argmax_cached(row, &mut scratch.a));
+        }
+    }
+}
+
+impl OnlineClassifier for GaussianNaiveBayes {
+    fn partial_fit(&mut self, features: &[f64], label: usize) {
+        self.absorb(features, label);
+        self.refresh_row(label);
+    }
+
     fn examples_seen(&self) -> u64 {
         self.total
     }
 
     fn clone_online(&self) -> Box<dyn OnlineClassifier> {
         Box::new(self.clone())
+    }
+}
+
+/// Serialized as the historical nested shape (`means`/`m2s` as one array
+/// per class); the variance table is derived state and is rebuilt on load.
+impl Serialize for GaussianNaiveBayes {
+    fn to_value(&self) -> Value {
+        let rows = |part: fn(&(f64, f64)) -> f64| -> Value {
+            Value::Seq(
+                (0..self.counts.len())
+                    .map(|c| Value::Seq(self.row(c).iter().map(|m| part(m).to_value()).collect()))
+                    .collect(),
+            )
+        };
+        Value::Map(vec![
+            ("dim".to_string(), self.dim.to_value()),
+            ("total".to_string(), self.total.to_value()),
+            ("counts".to_string(), self.counts.to_value()),
+            ("means".to_string(), rows(|&(mean, _)| mean)),
+            ("m2s".to_string(), rows(|&(_, m2)| m2)),
+        ])
+    }
+}
+
+impl Deserialize for GaussianNaiveBayes {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let map = v
+            .as_map()
+            .ok_or_else(|| Error::custom("expected naive Bayes object"))?;
+        let field = |key: &str| {
+            serde::value_get(map, key)
+                .ok_or_else(|| Error::custom(format!("missing field `{key}`")))
+        };
+        let dim = usize::from_value(field("dim")?)?;
+        let total = u64::from_value(field("total")?)?;
+        let counts = Vec::<u64>::from_value(field("counts")?)?;
+        if counts.is_empty() {
+            return Err(Error::custom("naive Bayes needs at least one class"));
+        }
+        let flat = |key: &str| -> Result<Vec<f64>, Error> {
+            let rows = Vec::<Vec<f64>>::from_value(field(key)?)?;
+            if rows.len() != counts.len() || rows.iter().any(|r| r.len() != dim) {
+                return Err(Error::custom(format!(
+                    "`{key}` must be {} rows of {dim}",
+                    counts.len()
+                )));
+            }
+            Ok(rows.concat())
+        };
+        let mut nb = GaussianNaiveBayes::new(dim, counts.len());
+        nb.moments = flat("means")?.into_iter().zip(flat("m2s")?).collect();
+        nb.counts = counts;
+        nb.total = total;
+        nb.refresh_all();
+        Ok(nb)
     }
 }
 
@@ -266,7 +348,7 @@ mod tests {
 
     #[test]
     fn streaming_predict_matches_argmax_over_log_posteriors() {
-        use crate::svm::argmax;
+        use crate::kernel::argmax;
         let data = gaussian_blobs(9);
         let nb = GaussianNaiveBayes::train(&data);
         for e in data.examples() {
@@ -342,6 +424,27 @@ mod tests {
         assert_eq!(lp.len(), 3);
         assert!(lp.iter().all(|v| v.is_finite()));
         assert_eq!(nb.predict(&[1.0, 2.0]), 0);
+    }
+
+    #[test]
+    fn serializes_the_nested_statistics_and_rebuilds_the_table() {
+        let nb = GaussianNaiveBayes::train(&gaussian_blobs(4));
+        let value = nb.to_value();
+        let map = value.as_map().expect("an object");
+        let keys: Vec<&str> = map.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["dim", "total", "counts", "means", "m2s"]);
+        let means = serde::value_get(map, "means")
+            .and_then(Value::as_seq)
+            .expect("means is an array");
+        assert_eq!(means.len(), 3, "one row per class");
+        assert!(means
+            .iter()
+            .all(|row| row.as_seq().map(<[Value]>::len) == Some(3)));
+        // The table is not serialized; loading rebuilds it exactly.
+        assert_eq!(
+            GaussianNaiveBayes::from_value(&value).expect("round trip"),
+            nb
+        );
     }
 
     #[test]

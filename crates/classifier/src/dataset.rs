@@ -212,33 +212,61 @@ impl Normalizer {
 /// with the stream. O(dim) state; [`snapshot`](Self::snapshot) freezes the
 /// current statistics into a [`Normalizer`] (which is exactly how
 /// [`Normalizer::fit`] is implemented).
+///
+/// Each column caches the mean and safe standard deviation derived from its
+/// statistics, refreshed by [`observe`](Self::observe): a test-then-train
+/// stream applies the same statistics twice (to score an example, then —
+/// after observing it — to learn from it, and the learning pass's
+/// statistics are the next example's scoring statistics), so deriving them
+/// once per observation instead of once per application halves the work
+/// without changing a bit.
 #[derive(Debug, Clone, Default)]
 pub struct RunningNormalizer {
-    stats: Vec<RunningStats>,
+    columns: Vec<Column>,
+}
+
+/// One column of a [`RunningNormalizer`]: its running statistics plus the
+/// z-score parameters derived from them.
+#[derive(Debug, Clone, Copy)]
+struct Column {
+    stats: RunningStats,
+    mean: f64,
+    scale: f64,
+}
+
+impl Column {
+    fn of(stats: RunningStats) -> Self {
+        Column {
+            stats,
+            mean: stats.mean(),
+            scale: safe_std(stats.std_dev()),
+        }
+    }
 }
 
 impl RunningNormalizer {
     /// Creates a normalizer for `dim`-dimensional features.
     pub fn new(dim: usize) -> Self {
         RunningNormalizer {
-            stats: vec![RunningStats::default(); dim],
+            columns: vec![Column::of(RunningStats::default()); dim],
         }
     }
 
     /// The feature dimensionality.
     pub fn dim(&self) -> usize {
-        self.stats.len()
+        self.columns.len()
     }
 
     /// Number of feature vectors absorbed so far.
     pub fn count(&self) -> u64 {
-        self.stats.first().map_or(0, RunningStats::count)
+        self.columns.first().map_or(0, |c| c.stats.count())
     }
 
     /// Absorbs one feature vector into the per-column statistics.
     pub fn observe(&mut self, features: &[f64]) {
-        for (s, &x) in self.stats.iter_mut().zip(features) {
-            s.push(x);
+        for (column, &x) in self.columns.iter_mut().zip(features) {
+            column.stats.push(x);
+            *column = Column::of(column.stats);
         }
     }
 
@@ -246,23 +274,31 @@ impl RunningNormalizer {
     /// Zero-variance columns are centred but not scaled (see [`safe_std`] —
     /// before the fix a constant column yielded NaN/inf features).
     pub fn apply(&self, features: &[f64]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(features.len().min(self.stats.len()));
+        let mut out = Vec::with_capacity(features.len().min(self.columns.len()));
         self.transform_into(features, &mut out);
         out
     }
 
     /// Appends the normalised form of `features` to `out` with the
     /// **current** statistics — the allocation-free counterpart of
-    /// [`apply`](Self::apply). Note each call re-derives mean/std per column;
-    /// slice-scoring paths should [`snapshot_into`](Self::snapshot_into)
-    /// once per slice instead.
+    /// [`apply`](Self::apply).
     pub fn transform_into(&self, features: &[f64], out: &mut Vec<f64>) {
         out.extend(
             features
                 .iter()
-                .zip(&self.stats)
-                .map(|(x, s)| (x - s.mean()) / safe_std(s.std_dev())),
+                .zip(&self.columns)
+                .map(|(x, c)| (x - c.mean) / c.scale),
         );
+    }
+
+    /// Writes the normalised form of `features` into `out`, one entry per
+    /// element of `out` — [`transform_into`](Self::transform_into) for a
+    /// caller-sized (e.g. stack) buffer of `features.len().min(dim)`
+    /// entries.
+    pub(crate) fn transform_to(&self, features: &[f64], out: &mut [f64]) {
+        for ((o, x), c) in out.iter_mut().zip(features).zip(&self.columns) {
+            *o = (x - c.mean) / c.scale;
+        }
     }
 
     /// Freezes the current statistics into a static [`Normalizer`].
@@ -275,14 +311,13 @@ impl RunningNormalizer {
     /// [`snapshot`](Self::snapshot) into an existing [`Normalizer`], reusing
     /// its buffers — lets a slice-scoring hot path freeze the current
     /// statistics once per slice without allocating. Applying the snapshot
-    /// is bit-identical to [`apply`](Self::apply) (which derives the same
-    /// mean and safe standard deviation per column).
+    /// is bit-identical to [`apply`](Self::apply) (both read the same
+    /// derived mean and safe standard deviation per column).
     pub fn snapshot_into(&self, norm: &mut Normalizer) {
         norm.means.clear();
         norm.stds.clear();
-        norm.means.extend(self.stats.iter().map(RunningStats::mean));
-        norm.stds
-            .extend(self.stats.iter().map(|s| safe_std(s.std_dev())));
+        norm.means.extend(self.columns.iter().map(|c| c.mean));
+        norm.stds.extend(self.columns.iter().map(|c| c.scale));
     }
 }
 

@@ -14,6 +14,7 @@ use crate::metrics::ConfusionMatrix;
 use crate::nn::{NeuralNet, NnConfig};
 use crate::svm::{LinearSvm, SvmConfig};
 use crate::Classifier;
+use std::borrow::Borrow;
 
 /// Training configuration for the ensemble.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -221,8 +222,6 @@ impl AdversaryEnsemble {
 /// adversary's counterpart).
 #[derive(Debug, Clone, Default)]
 pub struct VoteScratch {
-    /// Frozen normaliser cache (used by the online adversary's slice path).
-    pub(crate) snapshot: Normalizer,
     /// The normalised feature block, rows packed back to back.
     pub(crate) block: Vec<f64>,
     /// Member-level kernel scratch.
@@ -252,8 +251,8 @@ impl VoteScratch {
 /// the gathered disagreeing rows (two agreeing members already decide a
 /// three-way vote). Any other shape falls back to the general
 /// [`majority_vote`] per row. Both paths reproduce the scalar vote exactly.
-pub(crate) fn vote_slice<T: Classifier + ?Sized>(
-    members: &[Box<T>],
+pub(crate) fn vote_slice<M: Borrow<dyn Classifier>>(
+    members: &[M],
     classes: usize,
     dim: usize,
     scratch: &mut VoteScratch,
@@ -271,8 +270,8 @@ pub(crate) fn vote_slice<T: Classifier + ?Sized>(
     } = scratch;
     let n = block.len() / dim;
     if let [first, second, third] = members {
-        first.predict_slice(block, dim, v0, kernel);
-        second.predict_slice(block, dim, v1, kernel);
+        first.borrow().predict_slice(block, dim, v0, kernel);
+        second.borrow().predict_slice(block, dim, v1, kernel);
         out.clear();
         out.extend_from_slice(v0);
         gather.clear();
@@ -284,7 +283,7 @@ pub(crate) fn vote_slice<T: Classifier + ?Sized>(
             }
         }
         if !gather_idx.is_empty() {
-            third.predict_slice(gather, dim, v2, kernel);
+            third.borrow().predict_slice(gather, dim, v2, kernel);
             for (&i, &m2) in gather_idx.iter().zip(v2.iter()) {
                 out[i] = if m2 == v1[i] { v1[i] } else { v0[i] };
             }
@@ -294,35 +293,41 @@ pub(crate) fn vote_slice<T: Classifier + ?Sized>(
     out.clear();
     for row in block.chunks_exact(dim) {
         v0.clear();
-        v0.extend(members.iter().map(|m| m.predict(row)));
+        v0.extend(members.iter().map(|m| m.borrow().predict(row)));
         out.push(majority_vote(v0, classes));
     }
 }
 
 /// The shared majority-vote rule of the batch and online adversaries: the
 /// most-voted class wins, with ties broken in favour of the first member's
-/// prediction (the SVM).
+/// prediction (the SVM); a tie the first member is not part of goes to the
+/// highest class index. Predictions outside `0..classes` cast no vote.
+///
+/// Votes are counted by scanning the (member-sized) prediction list instead
+/// of a per-class tally, so the per-window scoring path allocates nothing.
 ///
 /// # Panics
 ///
 /// Panics if `predictions` is empty.
 pub fn majority_vote(predictions: &[usize], classes: usize) -> usize {
-    let mut votes = vec![0usize; classes.max(1)];
-    for &p in predictions {
-        if p < votes.len() {
-            votes[p] += 1;
+    let classes = classes.max(1);
+    let votes = |class: usize| {
+        if class < classes {
+            predictions.iter().filter(|&&p| p == class).count()
+        } else {
+            0
         }
-    }
+    };
     let first_choice = predictions[0];
-    let max_votes = votes.iter().copied().max().unwrap_or(0);
-    if votes.get(first_choice).copied().unwrap_or(0) == max_votes {
+    let max_votes = predictions.iter().map(|&p| votes(p)).max().unwrap_or(0);
+    if votes(first_choice) == max_votes {
         first_choice
     } else {
-        votes
+        predictions
             .iter()
-            .enumerate()
-            .max_by_key(|(_, v)| **v)
-            .map(|(i, _)| i)
+            .copied()
+            .filter(|&p| votes(p) == max_votes)
+            .max()
             .unwrap_or(first_choice)
     }
 }
@@ -430,6 +435,48 @@ mod tests {
                 majority_vote(&predictions, ensemble.class_count),
                 "members voted {predictions:?}"
             );
+        }
+    }
+
+    #[test]
+    fn majority_vote_matches_a_per_class_tally_exhaustively() {
+        // The historical rule: tally votes per class, keep the first
+        // member's choice if it has the most votes, else the last
+        // most-voted class in index order.
+        fn tally_vote(predictions: &[usize], classes: usize) -> usize {
+            let mut votes = vec![0usize; classes.max(1)];
+            for &p in predictions {
+                if p < votes.len() {
+                    votes[p] += 1;
+                }
+            }
+            let first_choice = predictions[0];
+            let max_votes = votes.iter().copied().max().unwrap_or(0);
+            if votes.get(first_choice).copied().unwrap_or(0) == max_votes {
+                first_choice
+            } else {
+                votes
+                    .iter()
+                    .enumerate()
+                    .max_by_key(|(_, v)| **v)
+                    .map(|(i, _)| i)
+                    .unwrap_or(first_choice)
+            }
+        }
+        // Every prediction list of 1–4 members over 5 labels, against 0–4
+        // classes (so out-of-range labels are covered too).
+        for members in 1..=4u32 {
+            for code in 0..5usize.pow(members) {
+                let predictions: Vec<usize> =
+                    (0..members).map(|i| code / 5usize.pow(i) % 5).collect();
+                for classes in 0..=4 {
+                    assert_eq!(
+                        majority_vote(&predictions, classes),
+                        tally_vote(&predictions, classes),
+                        "{predictions:?} over {classes} classes"
+                    );
+                }
+            }
         }
     }
 

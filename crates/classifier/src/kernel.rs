@@ -16,7 +16,8 @@
 //!   batched plane is **bit-identical** to the per-example one (the contract
 //!   `tests/predict_slice_equivalence.rs` proptests).
 //! * **Caller-provided scratch** — [`Scratch`] owns the intermediate
-//!   buffers, so steady-state inference performs no allocation at all.
+//!   buffers, so steady-state inference performs no allocation at all; the
+//!   one-example online paths use `with_buffer`, a stack buffer, instead.
 
 /// Reusable intermediate buffers for the batched inference plane.
 ///
@@ -38,6 +39,26 @@ impl Scratch {
     /// afterwards.
     pub fn new() -> Self {
         Scratch::default()
+    }
+}
+
+/// Runs `f` on a `len`-element buffer: the caller's `stack` array when it is
+/// long enough, a heap buffer of `T::default()` values otherwise.
+///
+/// This is the per-call scratch of the online (one example at a time) hot
+/// paths. It needs no state in the model, so forking a model copies no
+/// scratch, and each call site sizes `stack` for the committed model shape
+/// (18 features, 32 hidden units, 7 classes) — those calls allocate nothing
+/// and zero only the few hundred bytes they may use.
+pub(crate) fn with_buffer<T: Copy + Default, const N: usize, R>(
+    len: usize,
+    mut stack: [T; N],
+    f: impl FnOnce(&mut [T]) -> R,
+) -> R {
+    if len <= N {
+        f(&mut stack[..len])
+    } else {
+        f(&mut vec![T::default(); len])
     }
 }
 
@@ -91,6 +112,20 @@ pub fn matvec_bias(weights: &[f64], biases: &[f64], x: &[f64], w_dim: usize, out
         out[r] = acc + biases[r];
         r += 1;
     }
+}
+
+/// The index of the first maximum of `values` (0 when empty) — the argmax
+/// rule every classifier's `predict` applies to its per-class scores.
+pub fn argmax(values: &[f64]) -> usize {
+    let mut best = 0;
+    let mut best_value = f64::NEG_INFINITY;
+    for (i, &v) in values.iter().enumerate() {
+        if v > best_value {
+            best_value = v;
+            best = i;
+        }
+    }
+    best
 }
 
 /// Batched [`matvec_bias`]: every `x_dim`-wide row of `xs` through the same
@@ -201,6 +236,18 @@ mod tests {
         }
         for (a, b) in via_axpy.iter().zip(&via_sub) {
             assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
+    fn with_buffer_hands_out_default_filled_buffers_of_any_length() {
+        for len in [0, 1, 8, 9, 100] {
+            let seen = with_buffer(len, [0.0; 8], |buf: &mut [f64]| {
+                assert!(buf.iter().all(|&v| v == 0.0));
+                buf.fill(1.0);
+                buf.len()
+            });
+            assert_eq!(seen, len);
         }
     }
 

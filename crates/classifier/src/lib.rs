@@ -129,16 +129,10 @@ pub trait Classifier: std::fmt::Debug + Send + Sync {
 pub trait OnlineClassifier: Classifier {
     /// Absorbs one labelled example: a single SGD step for the
     /// discriminative models, a sufficient-statistics update for naive Bayes.
+    /// Steps allocate nothing (intermediates live in stack buffers), so the
+    /// hot training loop of the online adversary needs no scratch of its
+    /// own.
     fn partial_fit(&mut self, features: &[f64], label: usize);
-
-    /// [`partial_fit`](Self::partial_fit) with caller-provided scratch, so a
-    /// hot training loop (the online adversary, the prequential evaluator)
-    /// performs no per-example allocation. The update is bit-identical to
-    /// `partial_fit`; the default simply ignores the scratch.
-    fn partial_fit_with(&mut self, features: &[f64], label: usize, scratch: &mut kernel::Scratch) {
-        let _ = scratch;
-        self.partial_fit(features, label);
-    }
 
     /// Number of examples absorbed so far (counting repeats across epochs).
     fn examples_seen(&self) -> u64;

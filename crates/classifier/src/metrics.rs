@@ -9,15 +9,17 @@
 //! * **false positive (FP)** — per application X, the fraction of *other*
 //!   applications' instances that were classified as X.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 use std::fmt;
 
 /// A confusion matrix over `n` classes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     classes: usize,
-    /// `counts[true][predicted]`.
-    counts: Vec<Vec<u64>>,
+    /// Flat row-major `classes × classes`: `counts[true · classes +
+    /// predicted]` (one allocation per matrix, which matters when a
+    /// prequential evaluator is forked per station).
+    counts: Vec<u64>,
 }
 
 impl ConfusionMatrix {
@@ -30,8 +32,39 @@ impl ConfusionMatrix {
         assert!(classes > 0, "a confusion matrix needs at least one class");
         ConfusionMatrix {
             classes,
-            counts: vec![vec![0; classes]; classes],
+            counts: vec![0; classes * classes],
         }
+    }
+
+    /// A matrix over `classes` classes from its flat row-major counts
+    /// (`counts[true · classes + predicted]`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `classes` is zero or `counts` is not `classes²` long.
+    pub(crate) fn from_counts(classes: usize, counts: Vec<u64>) -> Self {
+        assert!(classes > 0, "a confusion matrix needs at least one class");
+        assert_eq!(counts.len(), classes * classes, "counts must be classes²");
+        ConfusionMatrix { classes, counts }
+    }
+
+    /// Row `true_label` of the matrix: counts per predicted class.
+    fn row(&self, true_label: usize) -> &[u64] {
+        &self.counts[true_label * self.classes..(true_label + 1) * self.classes]
+    }
+
+    /// The flat index of cell `(true_label, predicted)`, range-checked.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of range.
+    fn cell(&self, true_label: usize, predicted: usize) -> usize {
+        assert!(
+            true_label < self.classes && predicted < self.classes,
+            "label out of range: true {true_label}, predicted {predicted}, classes {}",
+            self.classes
+        );
+        true_label * self.classes + predicted
     }
 
     /// Builds a matrix from `(true, predicted)` pairs.
@@ -54,12 +87,8 @@ impl ConfusionMatrix {
     ///
     /// Panics if either index is out of range.
     pub fn record(&mut self, true_label: usize, predicted: usize) {
-        assert!(
-            true_label < self.classes && predicted < self.classes,
-            "label out of range: true {true_label}, predicted {predicted}, classes {}",
-            self.classes
-        );
-        self.counts[true_label][predicted] += 1;
+        let cell = self.cell(true_label, predicted);
+        self.counts[cell] += 1;
     }
 
     /// Records `count` identical classification outcomes at once — the O(1)
@@ -69,12 +98,8 @@ impl ConfusionMatrix {
     ///
     /// Panics if either index is out of range.
     pub fn add_counts(&mut self, true_label: usize, predicted: usize, count: u64) {
-        assert!(
-            true_label < self.classes && predicted < self.classes,
-            "label out of range: true {true_label}, predicted {predicted}, classes {}",
-            self.classes
-        );
-        self.counts[true_label][predicted] += count;
+        let cell = self.cell(true_label, predicted);
+        self.counts[cell] += count;
     }
 
     /// Returns a copy of this matrix widened to `classes` classes, with every
@@ -95,7 +120,7 @@ impl ConfusionMatrix {
         let mut wide = ConfusionMatrix::new(classes);
         for t in 0..self.classes {
             for p in 0..self.classes {
-                let count = self.counts[t][p];
+                let count = self.count(t, p);
                 if count > 0 {
                     wide.add_counts(t, p, count);
                 }
@@ -111,26 +136,24 @@ impl ConfusionMatrix {
     /// Panics if the class counts differ.
     pub fn merge(&mut self, other: &ConfusionMatrix) {
         assert_eq!(self.classes, other.classes, "class counts differ");
-        for (row, other_row) in self.counts.iter_mut().zip(&other.counts) {
-            for (c, o) in row.iter_mut().zip(other_row) {
-                *c += o;
-            }
+        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
+            *c += o;
         }
     }
 
     /// The raw count of instances of `true_label` predicted as `predicted`.
     pub fn count(&self, true_label: usize, predicted: usize) -> u64 {
-        self.counts[true_label][predicted]
+        self.counts[self.cell(true_label, predicted)]
     }
 
     /// Total number of recorded instances.
     pub fn total(&self) -> u64 {
-        self.counts.iter().flatten().sum()
+        self.counts.iter().sum()
     }
 
     /// Number of instances whose true label is `class`.
     pub fn class_total(&self, class: usize) -> u64 {
-        self.counts[class].iter().sum()
+        self.row(class).iter().sum()
     }
 
     /// Overall accuracy: correct / total (0 when empty).
@@ -139,7 +162,7 @@ impl ConfusionMatrix {
         if total == 0 {
             return 0.0;
         }
-        let correct: u64 = (0..self.classes).map(|c| self.counts[c][c]).sum();
+        let correct: u64 = (0..self.classes).map(|c| self.count(c, c)).sum();
         correct as f64 / total as f64
     }
 
@@ -150,7 +173,7 @@ impl ConfusionMatrix {
         if total == 0 {
             return 0.0;
         }
-        self.counts[class][class] as f64 / total as f64
+        self.count(class, class) as f64 / total as f64
     }
 
     /// The paper's mean accuracy: average per-class accuracy over the classes
@@ -176,7 +199,7 @@ impl ConfusionMatrix {
                 continue;
             }
             negatives += self.class_total(t);
-            fp += self.counts[t][class];
+            fp += self.count(t, class);
         }
         if negatives == 0 {
             0.0
@@ -202,6 +225,46 @@ impl ConfusionMatrix {
     }
 }
 
+/// Serialized as the historical nested shape, `{"classes": n, "counts":
+/// [[…n…], …n rows…]}` (`counts[true][predicted]`).
+impl Serialize for ConfusionMatrix {
+    fn to_value(&self) -> Value {
+        let rows = Value::Seq(
+            self.counts
+                .chunks_exact(self.classes)
+                .map(|row| row.to_value())
+                .collect(),
+        );
+        Value::Map(vec![
+            ("classes".to_string(), self.classes.to_value()),
+            ("counts".to_string(), rows),
+        ])
+    }
+}
+
+impl Deserialize for ConfusionMatrix {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let map = v
+            .as_map()
+            .ok_or_else(|| Error::custom("expected confusion matrix object"))?;
+        let field = |key: &str| {
+            serde::value_get(map, key)
+                .ok_or_else(|| Error::custom(format!("missing field `{key}`")))
+        };
+        let classes = usize::from_value(field("classes")?)?;
+        let rows = Vec::<Vec<u64>>::from_value(field("counts")?)?;
+        if classes == 0 || rows.len() != classes || rows.iter().any(|r| r.len() != classes) {
+            return Err(Error::custom(format!(
+                "confusion matrix counts must be {classes} rows of {classes} (classes > 0)"
+            )));
+        }
+        Ok(ConfusionMatrix {
+            classes,
+            counts: rows.concat(),
+        })
+    }
+}
+
 impl fmt::Display for ConfusionMatrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -210,7 +273,7 @@ impl fmt::Display for ConfusionMatrix {
             self.classes,
             self.total()
         )?;
-        for (t, row) in self.counts.iter().enumerate() {
+        for (t, row) in self.counts.chunks_exact(self.classes).enumerate() {
             write!(f, "  true {t}:")?;
             for c in row {
                 write!(f, " {c:6}")?;
@@ -299,6 +362,41 @@ mod tests {
         let s = m.to_string();
         assert!(s.contains("confusion matrix"));
         assert!(s.contains("true 0"));
+    }
+
+    #[test]
+    fn serializes_in_the_nested_row_shape_and_round_trips() {
+        let m = ConfusionMatrix::from_pairs(2, &[(0, 0), (0, 1), (1, 1), (1, 1)]);
+        let value = m.to_value();
+        assert_eq!(
+            value,
+            Value::Map(vec![
+                ("classes".to_string(), Value::U64(2)),
+                (
+                    "counts".to_string(),
+                    Value::Seq(vec![
+                        Value::Seq(vec![Value::U64(1), Value::U64(1)]),
+                        Value::Seq(vec![Value::U64(0), Value::U64(2)]),
+                    ])
+                ),
+            ])
+        );
+        assert_eq!(ConfusionMatrix::from_value(&value).expect("round trip"), m);
+    }
+
+    #[test]
+    fn deserialize_rejects_ragged_counts() {
+        let ragged = Value::Map(vec![
+            ("classes".to_string(), Value::U64(2)),
+            (
+                "counts".to_string(),
+                Value::Seq(vec![
+                    Value::Seq(vec![Value::U64(1), Value::U64(1)]),
+                    Value::Seq(vec![Value::U64(0)]),
+                ]),
+            ),
+        ]);
+        assert!(ConfusionMatrix::from_value(&ragged).is_err());
     }
 
     #[test]

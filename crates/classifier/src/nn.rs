@@ -16,7 +16,7 @@ use crate::{Classifier, OnlineClassifier};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
 /// Hyper-parameters of the MLP trainer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -43,49 +43,35 @@ impl Default for NnConfig {
 }
 
 /// A multi-layer perceptron (trainable incrementally).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NeuralNet {
-    /// Layer 1 weights: flat row-major `hidden_units × dim`.
-    w1: Vec<f64>,
-    b1: Vec<f64>,
-    /// Layer 2 weights: flat row-major `classes × hidden_units`.
-    w2: Vec<f64>,
-    b2: Vec<f64>,
+    /// Every parameter in one flat block, layer after layer: `w1` (row-major
+    /// `hidden × dim`), `b1` (`hidden`), `w2` (row-major `classes ×
+    /// hidden`), `b2` (`classes`). One allocation per network, so forking an
+    /// online adversary per station copies one block.
+    params: Vec<f64>,
     /// Feature dimensionality (the `w1` row width).
     dim: usize,
+    /// Hidden units (the `w2` row width).
+    hidden: usize,
+    /// Output classes.
+    classes: usize,
     /// Learning rate used by single-example `partial_fit` steps.
     learning_rate: f64,
     /// Examples absorbed so far (counting repeats across epochs).
     seen: u64,
 }
 
-/// Accumulated gradients for one mini-batch (or one example), in the same
-/// flat row-major layout as the weights so applying them is a pair of
-/// [`kernel::axpy`] sweeps.
-struct Gradients {
-    gw1: Vec<f64>,
-    gb1: Vec<f64>,
-    gw2: Vec<f64>,
-    gb2: Vec<f64>,
-}
+/// A parameter-shaped block split into its `(w1, b1, w2, b2)` layers.
+type LayersMut<'a> = (&'a mut [f64], &'a mut [f64], &'a mut [f64], &'a mut [f64]);
 
-impl Gradients {
-    fn zeroed(dim: usize, hidden: usize, classes: usize) -> Self {
-        Gradients {
-            gw1: vec![0.0; hidden * dim],
-            gb1: vec![0.0; hidden],
-            gw2: vec![0.0; classes * hidden],
-            gb2: vec![0.0; classes],
-        }
-    }
-
-    /// Resets every accumulator without giving the buffers back.
-    fn zero(&mut self) {
-        self.gw1.fill(0.0);
-        self.gb1.fill(0.0);
-        self.gw2.fill(0.0);
-        self.gb2.fill(0.0);
-    }
+/// Splits a parameter-shaped block (the weights, or gradients laid out like
+/// them) into its four layers.
+fn split_layers_mut(block: &mut [f64], dim: usize, hidden: usize, classes: usize) -> LayersMut<'_> {
+    let (w1, rest) = block.split_at_mut(hidden * dim);
+    let (b1, rest) = rest.split_at_mut(hidden);
+    let (w2, b2) = rest.split_at_mut(classes * hidden);
+    (w1, b1, w2, b2)
 }
 
 impl NeuralNet {
@@ -109,16 +95,16 @@ impl NeuralNet {
         let scale2 = (2.0 / hidden as f64).sqrt();
         // Row-major draw order matches the historical per-row Vec layout, so
         // a given rng stream still initialises the same network.
+        let mut params = Vec::with_capacity(hidden * dim + hidden + classes * hidden + classes);
+        params.extend((0..hidden * dim).map(|_| rng.gen_range(-scale1..scale1)));
+        params.extend(std::iter::repeat_n(0.0, hidden));
+        params.extend((0..classes * hidden).map(|_| rng.gen_range(-scale2..scale2)));
+        params.extend(std::iter::repeat_n(0.0, classes));
         NeuralNet {
-            w1: (0..hidden * dim)
-                .map(|_| rng.gen_range(-scale1..scale1))
-                .collect(),
-            b1: vec![0.0; hidden],
-            w2: (0..classes * hidden)
-                .map(|_| rng.gen_range(-scale2..scale2))
-                .collect(),
-            b2: vec![0.0; classes],
+            params,
             dim,
+            hidden,
+            classes,
             learning_rate: config.learning_rate,
             seen: 0,
         }
@@ -143,98 +129,129 @@ impl NeuralNet {
 
         let mut order: Vec<usize> = (0..data.len()).collect();
         let examples = data.examples();
-        // One gradient accumulator and one scratch for the whole run — each
-        // mini-batch zeroes the accumulators instead of reallocating them.
-        let mut grads = Gradients::zeroed(net.dim, net.b1.len(), net.b2.len());
-        let mut scratch = Scratch::new();
+        // One gradient accumulator (laid out like the parameters) for the
+        // whole run — each mini-batch zeroes it instead of reallocating it.
+        let mut grads = vec![0.0; net.params.len()];
         for _ in 0..config.epochs {
             order.shuffle(&mut rng);
             for batch in order.chunks(config.batch_size.max(1)) {
-                grads.zero();
+                grads.fill(0.0);
                 for &idx in batch {
                     let ex = &examples[idx];
-                    net.accumulate(&ex.features, ex.label, &mut grads, &mut scratch);
+                    net.accumulate(&ex.features, ex.label, &mut grads);
                     net.seen += 1;
                 }
-                net.apply(&grads, config.learning_rate / batch.len() as f64);
+                // One flat axpy over every layer — bit-identical to the
+                // historical per-element `w -= step * g`.
+                kernel::axpy(
+                    &mut net.params,
+                    &grads,
+                    -(config.learning_rate / batch.len() as f64),
+                );
             }
         }
         net
     }
 
-    /// Adds one example's softmax cross-entropy gradient into `grads`.
-    /// `scratch.a`/`scratch.b` hold the forward activations afterwards.
-    fn accumulate(
+    /// The parameter block split into its `(w1, b1, w2, b2)` layers.
+    fn layers(&self) -> (&[f64], &[f64], &[f64], &[f64]) {
+        let (w1, rest) = self.params.split_at(self.hidden * self.dim);
+        let (b1, rest) = rest.split_at(self.hidden);
+        let (w2, b2) = rest.split_at(self.classes * self.hidden);
+        (w1, b1, w2, b2)
+    }
+
+    /// Length of the buffer [`backward`](Self::backward) works in.
+    fn backward_len(&self) -> usize {
+        2 * self.hidden + self.classes
+    }
+
+    /// One example's forward and backward pass in `buffer`
+    /// ([`backward_len`](Self::backward_len) long): returns the hidden
+    /// activations, the output deltas (softmax probabilities minus the
+    /// one-hot label) and the hidden deltas. Shared by the mini-batch
+    /// accumulation and the fused single-example step, so both see the same
+    /// arithmetic.
+    fn backward<'b>(
         &self,
         features: &[f64],
         label: usize,
-        grads: &mut Gradients,
-        scratch: &mut Scratch,
-    ) {
-        let hidden = self.b1.len();
-        self.forward_into(features, scratch);
-        // Output delta: softmax cross-entropy gradient, in place over the
-        // probabilities.
-        scratch.b[label] -= 1.0;
-        let (hidden_out, delta_out) = (&scratch.a, &scratch.b);
-        for (c, &delta) in delta_out.iter().enumerate() {
-            for (g, h_out) in grads.gw2[c * hidden..(c + 1) * hidden]
-                .iter_mut()
-                .zip(hidden_out)
-            {
-                *g += delta * h_out;
+        buffer: &'b mut [f64],
+    ) -> (&'b [f64], &'b [f64], &'b [f64]) {
+        let (hidden_out, rest) = buffer.split_at_mut(self.hidden);
+        let (delta_out, hidden_deltas) = rest.split_at_mut(self.classes);
+        self.forward_to(features, hidden_out, delta_out);
+        // Softmax cross-entropy gradient, in place over the probabilities.
+        delta_out[label] -= 1.0;
+        self.backpropagate(delta_out, hidden_deltas);
+        (hidden_out, delta_out, hidden_deltas)
+    }
+
+    /// Adds one example's softmax cross-entropy gradient into `grads` (laid
+    /// out like the parameters).
+    fn accumulate(&self, features: &[f64], label: usize, grads: &mut [f64]) {
+        let (dim, hidden) = (self.dim, self.hidden);
+        let (gw1, gb1, gw2, gb2) = split_layers_mut(grads, dim, hidden, self.classes);
+        kernel::with_buffer(self.backward_len(), [0.0; BACKWARD_STACK], |buffer| {
+            let (hidden_out, delta_out, hidden_deltas) = self.backward(features, label, buffer);
+            for (c, &delta) in delta_out.iter().enumerate() {
+                for (g, h_out) in gw2[c * hidden..(c + 1) * hidden].iter_mut().zip(hidden_out) {
+                    *g += delta * h_out;
+                }
+                gb2[c] += delta;
             }
-            grads.gb2[c] += delta;
-        }
-        // Hidden delta through ReLU.
-        for h in 0..hidden {
-            if hidden_out[h] <= 0.0 {
-                continue;
+            // Hidden delta through ReLU.
+            for h in 0..hidden {
+                if hidden_out[h] <= 0.0 {
+                    continue;
+                }
+                let d = hidden_deltas[h];
+                for (g, x) in gw1[h * dim..(h + 1) * dim].iter_mut().zip(features) {
+                    *g += d * x;
+                }
+                gb1[h] += d;
             }
-            let d: f64 = delta_out
-                .iter()
-                .zip(self.w2.chunks_exact(hidden))
-                .map(|(dc, w2c)| dc * w2c[h])
-                .sum();
-            let dim = self.dim;
-            for (g, x) in grads.gw1[h * dim..(h + 1) * dim].iter_mut().zip(features) {
-                *g += d * x;
+        });
+    }
+
+    /// Backpropagates the output deltas through the output weights:
+    /// `hidden_deltas[h] = Σ_c δ_c · w2[c][h]`.
+    ///
+    /// One row-major pass over `w2` accumulates every hidden unit at once,
+    /// yet each unit still sums over the classes in order starting from
+    /// `-0.0` — the exact fold of `Iterator::sum::<f64>()` over
+    /// `δ_c · w2[c][h]`, so the deltas are bit-identical to the per-unit
+    /// strided sums. Units the ReLU switched off get a delta too; callers
+    /// skip them.
+    fn backpropagate(&self, delta_out: &[f64], hidden_deltas: &mut [f64]) {
+        let (_, _, w2, _) = self.layers();
+        hidden_deltas.fill(-0.0);
+        for (&dc, w2c) in delta_out.iter().zip(w2.chunks_exact(self.hidden)) {
+            for (d, &w) in hidden_deltas.iter_mut().zip(w2c) {
+                *d += dc * w;
             }
-            grads.gb1[h] += d;
         }
     }
 
-    /// Applies accumulated gradients with step size `step` — a flat
-    /// [`kernel::axpy`] per parameter block (bit-identical to the historical
-    /// per-element `w -= step * g`).
-    fn apply(&mut self, grads: &Gradients, step: f64) {
-        kernel::axpy(&mut self.w1, &grads.gw1, -step);
-        kernel::axpy(&mut self.b1, &grads.gb1, -step);
-        kernel::axpy(&mut self.w2, &grads.gw2, -step);
-        kernel::axpy(&mut self.b2, &grads.gb2, -step);
-    }
-
-    /// Forward pass into caller scratch: `scratch.a` receives the hidden
-    /// activations, `scratch.b` the class probabilities. No allocation in
-    /// steady state.
-    fn forward_into(&self, features: &[f64], scratch: &mut Scratch) {
-        let hidden = self.b1.len();
-        scratch.a.resize(hidden, 0.0);
-        kernel::matvec_bias(&self.w1, &self.b1, features, self.dim, &mut scratch.a);
-        for z in scratch.a.iter_mut() {
+    /// Forward pass into caller buffers: `hidden_out` (`hidden` long)
+    /// receives the hidden activations, `probs` (`classes` long) the class
+    /// probabilities.
+    fn forward_to(&self, features: &[f64], hidden_out: &mut [f64], probs: &mut [f64]) {
+        let (w1, b1, w2, b2) = self.layers();
+        kernel::matvec_bias(w1, b1, features, self.dim, hidden_out);
+        for z in hidden_out.iter_mut() {
             *z = z.max(0.0);
         }
-        let classes = self.b2.len();
-        scratch.b.resize(classes, 0.0);
-        kernel::matvec_bias(&self.w2, &self.b2, &scratch.a, hidden, &mut scratch.b);
-        softmax_in_place(&mut scratch.b);
+        kernel::matvec_bias(w2, b2, hidden_out, self.hidden, probs);
+        softmax_in_place(probs);
     }
 
     /// Forward pass returning `(hidden activations, class probabilities)`.
     fn forward(&self, features: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        let mut scratch = Scratch::new();
-        self.forward_into(features, &mut scratch);
-        (scratch.a, scratch.b)
+        let mut hidden_out = vec![0.0; self.hidden];
+        let mut probs = vec![0.0; self.classes];
+        self.forward_to(features, &mut hidden_out, &mut probs);
+        (hidden_out, probs)
     }
 
     /// Class probabilities for a feature vector.
@@ -244,9 +261,15 @@ impl NeuralNet {
 
     /// Number of classes the network distinguishes.
     pub fn class_count(&self) -> usize {
-        self.b2.len()
+        self.classes
     }
 }
+
+/// Stack room for one forward pass (hidden units + classes) and one
+/// backward pass (twice the hidden units + classes) of the committed 32-unit,
+/// 7-class network; wider networks fall back to the heap.
+const FORWARD_STACK: usize = 64;
+const BACKWARD_STACK: usize = 96;
 
 /// Softmax in place: max-shifted exponentials normalised by their sum, with
 /// the same accumulation order as the historical collecting version.
@@ -272,30 +295,21 @@ fn softmax(logits: &[f64]) -> Vec<f64> {
 impl Classifier for NeuralNet {
     fn predict(&self, features: &[f64]) -> usize {
         // Softmax is strictly monotonic, so the argmax of the logits is the
-        // argmax of the probabilities — the exp/normalise pass (and its
-        // vectors) would be dead work here. The hidden layer is computed
-        // exactly as in `forward`.
-        let hidden_units = self.b1.len();
-        let mut hidden = vec![0.0; hidden_units];
-        kernel::matvec_bias(&self.w1, &self.b1, features, self.dim, &mut hidden);
-        for z in hidden.iter_mut() {
-            *z = z.max(0.0);
-        }
-        let mut best = 0;
-        let mut best_value = f64::NEG_INFINITY;
-        for (i, (w, b)) in self
-            .w2
-            .chunks_exact(hidden_units.max(1))
-            .zip(&self.b2)
-            .enumerate()
-        {
-            let logit: f64 = w.iter().zip(&hidden).map(|(wi, hi)| wi * hi).sum::<f64>() + b;
-            if logit > best_value {
-                best_value = logit;
-                best = i;
+        // argmax of the probabilities — the exp/normalise pass would be dead
+        // work here. Both layers go through the blocked kernel exactly as in
+        // `predict_slice`, into a stack buffer. (The kernel starts its sums
+        // at `0.0` where `Iterator::sum` starts at `-0.0`: a logit can differ
+        // only in the sign of a zero, which no comparison sees.)
+        let (w1, b1, w2, b2) = self.layers();
+        kernel::with_buffer(self.hidden + self.classes, [0.0; FORWARD_STACK], |buffer| {
+            let (hidden, logits) = buffer.split_at_mut(self.hidden);
+            kernel::matvec_bias(w1, b1, features, self.dim, hidden);
+            for z in hidden.iter_mut() {
+                *z = z.max(0.0);
             }
-        }
-        best
+            kernel::matvec_bias(w2, b2, hidden, self.hidden, logits);
+            kernel::argmax(logits)
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -304,90 +318,53 @@ impl Classifier for NeuralNet {
 
     fn predict_slice(&self, rows: &[f64], dim: usize, out: &mut Vec<usize>, scratch: &mut Scratch) {
         assert!(dim > 0, "predict_slice needs a positive feature dimension");
-        let hidden = self.b1.len();
-        let classes = self.b2.len();
+        let (w1, b1, w2, b2) = self.layers();
         // GEMM-shaped forward in logit space: layer 1 for every row, ReLU in
         // place, layer 2 for every row, then the first-maximum rule per row.
         // Softmax is skipped exactly as in the streaming `predict`.
-        kernel::matmat_bias(&self.w1, &self.b1, rows, dim, &mut scratch.a);
+        kernel::matmat_bias(w1, b1, rows, dim, &mut scratch.a);
         for z in scratch.a.iter_mut() {
             *z = z.max(0.0);
         }
-        kernel::matmat_bias(
-            &self.w2,
-            &self.b2,
-            &scratch.a,
-            hidden.max(1),
-            &mut scratch.b,
-        );
+        kernel::matmat_bias(w2, b2, &scratch.a, self.hidden, &mut scratch.b);
         out.clear();
-        for logits in scratch.b.chunks_exact(classes) {
-            let mut best = 0;
-            let mut best_value = f64::NEG_INFINITY;
-            for (i, &logit) in logits.iter().enumerate() {
-                if logit > best_value {
-                    best_value = logit;
-                    best = i;
-                }
-            }
-            out.push(best);
-        }
+        out.extend(scratch.b.chunks_exact(self.classes).map(kernel::argmax));
     }
 }
 
 impl OnlineClassifier for NeuralNet {
-    fn partial_fit(&mut self, features: &[f64], label: usize) {
-        self.partial_fit_with(features, label, &mut Scratch::new());
-    }
-
     /// One fused SGD step without gradient materialisation: the hidden
-    /// deltas are computed against the **pre-update** output weights (into
-    /// `scratch.c`) before either layer moves, so every parameter sees
-    /// exactly the update the accumulate/apply path would have produced
-    /// (`w -= lr * (δ · activation)`, identical expression tree).
-    fn partial_fit_with(&mut self, features: &[f64], label: usize, scratch: &mut Scratch) {
-        let hidden = self.b1.len();
-        let classes = self.b2.len();
+    /// deltas are computed against the **pre-update** output weights before
+    /// either layer moves, so every parameter sees exactly the update the
+    /// accumulate/apply path would have produced (`w -= lr * (δ ·
+    /// activation)`, identical expression tree). The activations and deltas
+    /// live in a stack buffer, so a step allocates nothing.
+    fn partial_fit(&mut self, features: &[f64], label: usize) {
+        let (dim, hidden, classes) = (self.dim, self.hidden, self.classes);
         let lr = self.learning_rate;
-        self.forward_into(features, scratch);
-        scratch.b[label] -= 1.0;
-        // Hidden deltas first — they read the output weights pre-update.
-        scratch.c.resize(hidden, 0.0);
-        for h in 0..hidden {
-            scratch.c[h] = if scratch.a[h] <= 0.0 {
-                0.0
-            } else {
-                scratch
-                    .b
-                    .iter()
-                    .zip(self.w2.chunks_exact(hidden))
-                    .map(|(dc, w2c)| dc * w2c[h])
-                    .sum()
-            };
-        }
-        // Output layer.
-        for c in 0..classes {
-            let delta = scratch.b[c];
-            for (w, h_out) in self.w2[c * hidden..(c + 1) * hidden]
-                .iter_mut()
-                .zip(&scratch.a)
-            {
-                *w -= lr * (delta * h_out);
+        kernel::with_buffer(self.backward_len(), [0.0; BACKWARD_STACK], |buffer| {
+            let (hidden_out, delta_out, hidden_deltas) = self.backward(features, label, buffer);
+            let (w1, b1, w2, b2) = split_layers_mut(&mut self.params, dim, hidden, classes);
+            // Output layer.
+            for c in 0..classes {
+                let delta = delta_out[c];
+                for (w, h_out) in w2[c * hidden..(c + 1) * hidden].iter_mut().zip(hidden_out) {
+                    *w -= lr * (delta * h_out);
+                }
+                b2[c] -= lr * delta;
             }
-            self.b2[c] -= lr * delta;
-        }
-        // Hidden layer.
-        let dim = self.dim;
-        for h in 0..hidden {
-            if scratch.a[h] <= 0.0 {
-                continue;
+            // Hidden layer.
+            for h in 0..hidden {
+                if hidden_out[h] <= 0.0 {
+                    continue;
+                }
+                let d = hidden_deltas[h];
+                for (w, x) in w1[h * dim..(h + 1) * dim].iter_mut().zip(features) {
+                    *w -= lr * (d * x);
+                }
+                b1[h] -= lr * d;
             }
-            let d = scratch.c[h];
-            for (w, x) in self.w1[h * dim..(h + 1) * dim].iter_mut().zip(features) {
-                *w -= lr * (d * x);
-            }
-            self.b1[h] -= lr * d;
-        }
+        });
         self.seen += 1;
     }
 
@@ -397,6 +374,54 @@ impl OnlineClassifier for NeuralNet {
 
     fn clone_online(&self) -> Box<dyn OnlineClassifier> {
         Box::new(self.clone())
+    }
+}
+
+/// Serialized as the historical four-layer shape (`w1`, `b1`, `w2`, `b2`
+/// as separate flat arrays, then `dim`, `learning_rate`, `seen`).
+impl Serialize for NeuralNet {
+    fn to_value(&self) -> Value {
+        let (w1, b1, w2, b2) = self.layers();
+        Value::Map(vec![
+            ("w1".to_string(), w1.to_value()),
+            ("b1".to_string(), b1.to_value()),
+            ("w2".to_string(), w2.to_value()),
+            ("b2".to_string(), b2.to_value()),
+            ("dim".to_string(), self.dim.to_value()),
+            ("learning_rate".to_string(), self.learning_rate.to_value()),
+            ("seen".to_string(), self.seen.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for NeuralNet {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let map = v
+            .as_map()
+            .ok_or_else(|| Error::custom("expected neural network object"))?;
+        let field = |key: &str| {
+            serde::value_get(map, key)
+                .ok_or_else(|| Error::custom(format!("missing field `{key}`")))
+        };
+        let layer = |key: &str| Vec::<f64>::from_value(field(key)?);
+        let (w1, b1, w2, b2) = (layer("w1")?, layer("b1")?, layer("w2")?, layer("b2")?);
+        let dim = usize::from_value(field("dim")?)?;
+        let (hidden, classes) = (b1.len(), b2.len());
+        if hidden == 0 || classes == 0 || w1.len() != hidden * dim || w2.len() != classes * hidden {
+            return Err(Error::custom(format!(
+                "inconsistent layer shapes: w1 {}, b1 {hidden}, w2 {}, b2 {classes}, dim {dim}",
+                w1.len(),
+                w2.len()
+            )));
+        }
+        Ok(NeuralNet {
+            params: [w1, b1, w2, b2].concat(),
+            dim,
+            hidden,
+            classes,
+            learning_rate: f64::from_value(field("learning_rate")?)?,
+            seen: u64::from_value(field("seen")?)?,
+        })
     }
 }
 
@@ -435,7 +460,7 @@ mod tests {
 
     #[test]
     fn streaming_predict_matches_argmax_over_probabilities() {
-        use crate::svm::argmax;
+        use crate::kernel::argmax;
         let data = ring_dataset(7);
         let nn = NeuralNet::train(&data, &NnConfig::default(), 8);
         for e in data.examples() {
@@ -488,6 +513,81 @@ mod tests {
     #[should_panic]
     fn empty_dataset_panics() {
         let _ = NeuralNet::train(&Dataset::new(2), &NnConfig::default(), 0);
+    }
+
+    #[test]
+    fn hidden_deltas_match_the_strided_sums_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(21);
+        for (dim, hidden, classes) in [(3, 1, 1), (18, 32, 7), (5, 7, 3), (2, 9, 4)] {
+            let cfg = NnConfig {
+                hidden_units: hidden,
+                ..NnConfig::default()
+            };
+            let net = NeuralNet::new(dim, classes, &cfg, rng.gen());
+            // Output deltas with exact zeros of both signs mixed in, so the
+            // sign of a zero sum is exercised as well.
+            let delta_out: Vec<f64> = (0..classes)
+                .map(|c| match c % 3 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.gen_range(-1.0..1.0),
+                })
+                .collect();
+            let mut deltas = vec![f64::NAN; hidden];
+            net.backpropagate(&delta_out, &mut deltas);
+            for h in 0..hidden {
+                let reference: f64 = delta_out
+                    .iter()
+                    .zip(net.layers().2.chunks_exact(hidden))
+                    .map(|(dc, w2c)| dc * w2c[h])
+                    .sum();
+                assert_eq!(deltas[h].to_bits(), reference.to_bits(), "unit {h}");
+            }
+        }
+    }
+
+    #[test]
+    fn wide_hidden_layers_predict_through_the_heap_fallback() {
+        let data = ring_dataset(4);
+        let cfg = NnConfig {
+            hidden_units: BACKWARD_STACK,
+            epochs: 3,
+            ..NnConfig::default()
+        };
+        let nn = NeuralNet::train(&data, &cfg, 6);
+        for e in data.examples() {
+            let p = nn.probabilities(&e.features);
+            let argmax = (0..p.len()).fold(0, |best, i| if p[i] > p[best] { i } else { best });
+            assert_eq!(nn.predict(&e.features), argmax);
+        }
+    }
+
+    #[test]
+    fn serializes_in_the_four_layer_shape_and_round_trips() {
+        let data = ring_dataset(2);
+        let cfg = NnConfig {
+            hidden_units: 5,
+            epochs: 2,
+            ..NnConfig::default()
+        };
+        let net = NeuralNet::train(&data, &cfg, 3);
+        let value = net.to_value();
+        let map = value.as_map().expect("an object");
+        let keys: Vec<&str> = map.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            ["w1", "b1", "w2", "b2", "dim", "learning_rate", "seen"]
+        );
+        let len = |key: &str| {
+            serde::value_get(map, key)
+                .and_then(Value::as_seq)
+                .map(<[Value]>::len)
+        };
+        assert_eq!(len("w1"), Some(5 * 2));
+        assert_eq!(len("b1"), Some(5));
+        assert_eq!(len("w2"), Some(2 * 5));
+        assert_eq!(len("b2"), Some(2));
+        assert_eq!(NeuralNet::from_value(&value).expect("round trip"), net);
     }
 
     #[test]

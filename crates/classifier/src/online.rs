@@ -30,24 +30,24 @@ use crate::metrics::ConfusionMatrix;
 use crate::nn::NeuralNet;
 use crate::stream::{FlowWindowers, WindowExample};
 use crate::svm::LinearSvm;
-use crate::{bayes::GaussianNaiveBayes, OnlineClassifier};
+use crate::{bayes::GaussianNaiveBayes, Classifier, OnlineClassifier};
 use traffic_gen::packet::PacketRecord;
 
 /// The incremental adversary: a running normalizer plus one online classifier
 /// per ensemble member.
 ///
 /// Clone a trained (or warm-started) adversary to fork it — e.g. one
-/// independent copy per station in a multi-station scenario.
+/// independent copy per station in a multi-station scenario. The members are
+/// held by value, so a fork copies a handful of flat buffers and nothing
+/// else.
 #[derive(Debug, Clone)]
 pub struct OnlineAdversary {
     normalizer: RunningNormalizer,
-    members: Vec<Box<dyn OnlineClassifier>>,
-    classes: usize,
+    svm: LinearSvm,
+    nn: NeuralNet,
+    /// The naive-Bayes member, when the config includes it.
+    bayes: Option<GaussianNaiveBayes>,
     examples_seen: u64,
-    /// Reused buffers for the `partial_fit` hot loop (stateless between
-    /// calls; cloning an adversary clones only their capacity).
-    fit_normalized: Vec<f64>,
-    fit_kernel: kernel::Scratch,
 }
 
 impl OnlineAdversary {
@@ -60,35 +60,39 @@ impl OnlineAdversary {
     /// Panics if `classes` is zero.
     pub fn new(dim: usize, classes: usize, config: &EnsembleConfig) -> Self {
         assert!(classes > 0, "the adversary needs at least one class");
-        let mut members: Vec<Box<dyn OnlineClassifier>> = Vec::new();
-        members.push(Box::new(LinearSvm::new(dim, classes, &config.svm)));
-        members.push(Box::new(NeuralNet::new(
-            dim,
-            classes,
-            &config.nn,
-            config.seed ^ 0x55,
-        )));
-        if config.include_bayes {
-            members.push(Box::new(GaussianNaiveBayes::new(dim, classes)));
-        }
         OnlineAdversary {
             normalizer: RunningNormalizer::new(dim),
-            members,
-            classes,
+            svm: LinearSvm::new(dim, classes, &config.svm),
+            nn: NeuralNet::new(dim, classes, &config.nn, config.seed ^ 0x55),
+            bayes: config
+                .include_bayes
+                .then(|| GaussianNaiveBayes::new(dim, classes)),
             examples_seen: 0,
-            fit_normalized: Vec::new(),
-            fit_kernel: kernel::Scratch::new(),
+        }
+    }
+
+    /// Runs `f` on the members in vote order: SVM, NN, then naive Bayes
+    /// when enabled.
+    fn with_members<R>(&self, f: impl FnOnce(&[&(dyn Classifier + 'static)]) -> R) -> R {
+        match &self.bayes {
+            Some(bayes) => f(&[&self.svm, &self.nn, bayes]),
+            None => f(&[&self.svm, &self.nn]),
         }
     }
 
     /// The number of classes the adversary distinguishes.
     pub fn class_count(&self) -> usize {
-        self.classes
+        self.svm.class_count()
     }
 
     /// Names of the member classifiers.
     pub fn member_names(&self) -> Vec<&'static str> {
-        self.members.iter().map(|m| m.name()).collect()
+        self.with_members(|members| members.iter().map(|m| m.name()).collect())
+    }
+
+    /// Number of member classifiers.
+    pub(crate) fn member_count(&self) -> usize {
+        2 + usize::from(self.bayes.is_some())
     }
 
     /// Examples absorbed so far.
@@ -98,22 +102,29 @@ impl OnlineAdversary {
 
     /// Absorbs one labelled example: the normalizer observes the raw
     /// features first, then every member takes one incremental step on the
-    /// freshly-normalised vector. Buffer reuse keeps the loop
-    /// allocation-free in steady state.
+    /// freshly-normalised vector (held in a stack buffer, so the loop
+    /// allocates nothing).
     pub fn partial_fit(&mut self, features: &[f64], label: usize) {
-        let OnlineAdversary {
+        self.normalizer.observe(features);
+        let Self {
             normalizer,
-            members,
-            fit_normalized,
-            fit_kernel,
+            svm,
+            nn,
+            bayes,
             ..
         } = self;
-        normalizer.observe(features);
-        fit_normalized.clear();
-        normalizer.transform_into(features, fit_normalized);
-        for member in members.iter_mut() {
-            member.partial_fit_with(fit_normalized, label, fit_kernel);
-        }
+        kernel::with_buffer(
+            features.len().min(normalizer.dim()),
+            [0.0; 32],
+            |normalized| {
+                normalizer.transform_to(features, normalized);
+                svm.partial_fit(normalized, label);
+                nn.partial_fit(normalized, label);
+                if let Some(bayes) = bayes {
+                    bayes.partial_fit(normalized, label);
+                }
+            },
+        );
         self.examples_seen += 1;
     }
 
@@ -121,26 +132,25 @@ impl OnlineAdversary {
     /// with the current running statistics).
     pub fn predict_members(&self, features: &[f64]) -> Vec<usize> {
         let normalized = self.normalizer.apply(features);
-        self.members
-            .iter()
-            .map(|m| m.predict(&normalized))
-            .collect()
+        self.with_members(|members| members.iter().map(|m| m.predict(&normalized)).collect())
     }
 
-    /// Every member's prediction with caller-provided buffers: `normalized`
-    /// holds the scaled features, `out` one vote per member. Bit-identical
-    /// to [`predict_members`](Self::predict_members) without the per-call
-    /// allocations.
-    pub fn predict_members_into(
-        &self,
-        features: &[f64],
-        normalized: &mut Vec<f64>,
-        out: &mut Vec<usize>,
-    ) {
-        normalized.clear();
-        self.normalizer.transform_into(features, normalized);
-        out.clear();
-        out.extend(self.members.iter().map(|m| m.predict(normalized)));
+    /// Every member's prediction into `out` (one slot per member), with the
+    /// features normalised once into a stack buffer — the allocation-free
+    /// form of [`predict_members`](Self::predict_members).
+    fn predict_members_to(&self, features: &[f64], out: &mut [usize]) {
+        kernel::with_buffer(
+            features.len().min(self.normalizer.dim()),
+            [0.0; 32],
+            |normalized| {
+                self.normalizer.transform_to(features, normalized);
+                out[0] = self.svm.predict(normalized);
+                out[1] = self.nn.predict(normalized);
+                if let Some(bayes) = &self.bayes {
+                    out[2] = bayes.predict(normalized);
+                }
+            },
+        );
     }
 
     /// The majority vote over all members, with the batch ensemble's tie
@@ -163,28 +173,29 @@ impl OnlineAdversary {
         self.vote_normalized(&scratch.block)
     }
 
-    /// The short-circuit vote over an already-normalised vector (general
-    /// member counts fall back to the shared [`majority_vote`] rule).
+    /// The short-circuit vote over an already-normalised vector (the
+    /// two-member shape falls back to the shared [`majority_vote`] rule).
     fn vote_normalized(&self, normalized: &[f64]) -> usize {
-        if let [first, second, third] = self.members.as_slice() {
-            let m0 = first.predict(normalized);
-            let m1 = second.predict(normalized);
-            if m0 == m1 {
-                return m0;
+        let m0 = self.svm.predict(normalized);
+        let m1 = self.nn.predict(normalized);
+        match &self.bayes {
+            Some(_) if m0 == m1 => m0,
+            Some(bayes) => {
+                if bayes.predict(normalized) == m1 {
+                    m1
+                } else {
+                    m0
+                }
             }
-            let m2 = third.predict(normalized);
-            return if m2 == m1 { m1 } else { m0 };
+            None => majority_vote(&[m0, m1], self.class_count()),
         }
-        let predictions: Vec<usize> = self.members.iter().map(|m| m.predict(normalized)).collect();
-        majority_vote(&predictions, self.classes)
     }
 
     /// Batched [`predict_majority`](Self::predict_majority): one vote per
-    /// `dim`-wide row of `rows`, into `out`. The running statistics are
-    /// frozen once per slice (a prediction never mutates them, so this is
-    /// bit-identical to re-deriving them per row), the whole block is
-    /// normalised in place, and the members vote through the same gathered
-    /// short-circuit kernel as the batch ensemble.
+    /// `dim`-wide row of `rows`, into `out`. The whole block is normalised
+    /// with the current statistics (a prediction never mutates them), and
+    /// the members vote through the same gathered short-circuit kernel as
+    /// the batch ensemble.
     ///
     /// # Panics
     ///
@@ -197,13 +208,12 @@ impl OnlineAdversary {
         scratch: &mut VoteScratch,
     ) {
         assert!(dim > 0, "predict_majority_slice needs a positive dimension");
-        self.normalizer.snapshot_into(&mut scratch.snapshot);
         scratch.block.clear();
         for row in rows.chunks_exact(dim) {
-            scratch.snapshot.transform_into(row, &mut scratch.block);
+            self.normalizer.transform_into(row, &mut scratch.block);
         }
         let stride = dim.min(self.normalizer.dim()).max(1);
-        vote_slice(&self.members, self.classes, stride, scratch, out);
+        self.with_members(|members| vote_slice(members, self.class_count(), stride, scratch, out));
     }
 }
 
@@ -269,27 +279,27 @@ impl SegmentStats {
 pub struct PrequentialEvaluator {
     adversary: OnlineAdversary,
     majority: ConfusionMatrix,
-    member_matrices: Vec<ConfusionMatrix>,
+    /// Every member's cumulative confusion counts in one flat block: a
+    /// row-major `classes × classes` matrix (`[true][predicted]`) per member,
+    /// in member order — one allocation per fork for all members.
+    member_counts: Vec<u64>,
     timeline: Vec<PrequentialPoint>,
     snapshot_every: u64,
     segment: SegmentStats,
     correct: u64,
     scored: u64,
-    /// Reused per-example buffers (normalised features, member votes).
-    normalized: Vec<f64>,
-    member_predictions: Vec<usize>,
 }
 
 impl PrequentialEvaluator {
     /// Wraps an adversary, snapshotting the cumulative accuracy onto the
     /// timeline every `snapshot_every` examples (clamped to at least 1).
     pub fn new(adversary: OnlineAdversary, snapshot_every: u64) -> Self {
+        let member_count = adversary.member_count();
         let classes = adversary.class_count();
-        let member_count = adversary.member_names().len();
         PrequentialEvaluator {
             adversary,
             majority: ConfusionMatrix::new(classes),
-            member_matrices: vec![ConfusionMatrix::new(classes); member_count],
+            member_counts: vec![0; member_count * classes * classes],
             timeline: Vec::new(),
             snapshot_every: snapshot_every.max(1),
             segment: SegmentStats {
@@ -298,8 +308,6 @@ impl PrequentialEvaluator {
             },
             correct: 0,
             scored: 0,
-            normalized: Vec::new(),
-            member_predictions: Vec::new(),
         }
     }
 
@@ -310,49 +318,48 @@ impl PrequentialEvaluator {
     ///
     /// Panics if `label` is out of range for the adversary's class count.
     pub fn test_then_train(&mut self, features: &[f64], label: usize) -> usize {
-        // One normalisation + one prediction per member into reused buffers
-        // (the evaluator needs every member's vote for the per-member
-        // matrices, so the majority short-circuit does not apply here).
-        let Self {
-            adversary,
-            majority,
-            member_matrices,
-            timeline,
-            snapshot_every,
-            segment,
-            correct,
-            scored,
-            normalized,
-            member_predictions,
-        } = &mut *self;
-        adversary.predict_members_into(features, normalized, member_predictions);
-        let predicted = majority_vote(member_predictions, adversary.class_count());
-        majority.record(label, predicted);
-        for (matrix, &p) in member_matrices.iter_mut().zip(member_predictions.iter()) {
-            matrix.record(label, p);
-        }
-        *scored += 1;
-        segment.total += 1;
-        if predicted == label {
-            *correct += 1;
-            segment.majority_correct += 1;
-        }
-        for (c, &p) in segment
-            .member_correct
-            .iter_mut()
-            .zip(member_predictions.iter())
+        // Every member votes (the evaluator needs each vote for the
+        // per-member matrices, so the majority short-circuit does not apply
+        // here); the votes live in a stack buffer.
+        let predicted = kernel::with_buffer(self.adversary.member_count(), [0; 3], |votes| {
+            self.adversary.predict_members_to(features, votes);
+            self.record(label, votes)
+        });
+        self.adversary.partial_fit(features, label);
+        predicted
+    }
+
+    /// Counts one scored example, whose members voted `votes`, into the
+    /// matrices, the segment and the timeline; returns the majority vote.
+    fn record(&mut self, label: usize, votes: &[usize]) -> usize {
+        let classes = self.adversary.class_count();
+        let predicted = majority_vote(votes, classes);
+        // Range-checks `label`; member votes are argmaxes over the classes.
+        self.majority.record(label, predicted);
+        for (counts, &p) in self
+            .member_counts
+            .chunks_exact_mut(classes * classes)
+            .zip(votes)
         {
+            counts[label * classes + p] += 1;
+        }
+        self.scored += 1;
+        self.segment.total += 1;
+        if predicted == label {
+            self.correct += 1;
+            self.segment.majority_correct += 1;
+        }
+        for (c, &p) in self.segment.member_correct.iter_mut().zip(votes) {
             if p == label {
                 *c += 1;
             }
         }
-        if scored.is_multiple_of(*snapshot_every) {
-            timeline.push(PrequentialPoint {
-                examples: *scored,
-                accuracy: *correct as f64 / *scored as f64,
+        if self.scored.is_multiple_of(self.snapshot_every) {
+            self.timeline.push(PrequentialPoint {
+                examples: self.scored,
+                accuracy: self.correct as f64 / self.scored as f64,
             });
         }
-        adversary.partial_fit(features, label);
         predicted
     }
 
@@ -380,12 +387,14 @@ impl PrequentialEvaluator {
         &self.majority
     }
 
-    /// Live `(member name, cumulative confusion matrix)` pairs.
-    pub fn member_matrices(&self) -> Vec<(&'static str, &ConfusionMatrix)> {
+    /// `(member name, cumulative confusion matrix)` pairs, one per member.
+    pub fn member_matrices(&self) -> Vec<(&'static str, ConfusionMatrix)> {
+        let classes = self.adversary.class_count();
         self.adversary
             .member_names()
             .into_iter()
-            .zip(self.member_matrices.iter())
+            .zip(self.member_counts.chunks_exact(classes * classes))
+            .map(|(name, counts)| (name, ConfusionMatrix::from_counts(classes, counts.to_vec())))
             .collect()
     }
 
@@ -400,7 +409,7 @@ impl PrequentialEvaluator {
         std::mem::replace(
             &mut self.segment,
             SegmentStats {
-                member_correct: vec![0; self.member_matrices.len()],
+                member_correct: vec![0; self.adversary.member_count()],
                 ..SegmentStats::default()
             },
         )

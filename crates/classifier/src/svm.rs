@@ -132,8 +132,9 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 
 impl Classifier for LinearSvm {
     fn predict(&self, features: &[f64]) -> usize {
-        // Streaming [`argmax`] over the decision values (same first-maximum
-        // rule), so the per-call score vector is never materialised.
+        // Streaming [`kernel::argmax`] over the decision values (same
+        // first-maximum rule), so the per-call score vector is never
+        // materialised.
         let mut best = 0;
         let mut best_value = f64::NEG_INFINITY;
         for (i, (w, b)) in self
@@ -166,19 +167,13 @@ impl Classifier for LinearSvm {
         // All decision values in one blocked pass, then the same
         // first-maximum rule per row as the streaming `predict`.
         kernel::matmat_bias(&self.weights, &self.biases, rows, dim, &mut scratch.a);
-        let classes = self.biases.len();
         out.clear();
-        for values in scratch.a.chunks_exact(classes) {
-            let mut best = 0;
-            let mut best_value = f64::NEG_INFINITY;
-            for (i, &v) in values.iter().enumerate() {
-                if v > best_value {
-                    best_value = v;
-                    best = i;
-                }
-            }
-            out.push(best);
-        }
+        out.extend(
+            scratch
+                .a
+                .chunks_exact(self.biases.len())
+                .map(kernel::argmax),
+        );
     }
 }
 
@@ -213,24 +208,10 @@ impl OnlineClassifier for LinearSvm {
     }
 }
 
-/// First-maximum rule every streaming `predict` mirrors inline; kept as the
-/// reference implementation for the equivalence tests.
-#[cfg(test)]
-pub(crate) fn argmax(values: &[f64]) -> usize {
-    let mut best = 0;
-    let mut best_value = f64::NEG_INFINITY;
-    for (i, &v) in values.iter().enumerate() {
-        if v > best_value {
-            best_value = v;
-            best = i;
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::argmax;
     use rand::Rng;
 
     fn separable_dataset(classes: usize, per_class: usize, seed: u64) -> Dataset {
