@@ -62,7 +62,11 @@ fn main() {
     let mut failures = 0usize;
     let mut seen_names: std::collections::HashSet<String> = std::collections::HashSet::new();
     for file in &files {
-        let outcome = load_spec(file).and_then(|spec| spec.build().map(|s| (spec, s)));
+        let outcome = load_spec(file).and_then(|spec| {
+            spec.build()
+                .map(|s| (spec, s))
+                .map_err(|e| format!("{}: {e}", file.display()))
+        });
         let (spec, scenario) = match outcome {
             Ok(built) => built,
             Err(e) => {

@@ -4,7 +4,7 @@
 //! configurable number of synthetic sessions per application. Two presets are
 //! provided: [`ExperimentConfig::paper`] (the sizes used by the `experiments`
 //! binary and EXPERIMENTS.md) and [`ExperimentConfig::quick`] (small sizes for
-//! unit tests and Criterion benches).
+//! unit tests and the committed scenarios).
 
 use serde::{Deserialize, Serialize};
 use traffic_gen::app::AppKind;
@@ -49,7 +49,7 @@ impl ExperimentConfig {
         }
     }
 
-    /// A small configuration for unit tests and benches.
+    /// A small configuration for unit tests and scenarios.
     pub fn quick() -> Self {
         ExperimentConfig {
             train_seed: 11,

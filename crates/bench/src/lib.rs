@@ -21,8 +21,8 @@
 //! | Ablations (scheduler flavour, interface count) | [`ablation`] |
 //! | Streaming scenarios (long sessions, multi-station) | [`streaming`] |
 //!
-//! The `experiments` binary prints all of them; the Criterion benches under
-//! `benches/` measure the runtime cost of each pipeline.
+//! The `experiments` binary prints all of them. Performance is measured by
+//! the repository benchmark, `perfbench/` (declared in `BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +34,6 @@ pub mod pipeline;
 pub mod power;
 pub mod report;
 pub mod scenario;
-pub mod stagebench;
 pub mod streaming;
 pub mod tables;
 
@@ -46,4 +45,3 @@ pub use scenario::{
 pub use streaming::{
     Executor, ExecutorStats, FrozenScorer, StationRun, WindowScorer, WINDOW_BATCH,
 };
-pub use streaming::{StationReport, StationSpec};

@@ -618,8 +618,8 @@ mod tests {
 
     #[test]
     fn composed_overhead_covers_each_components_contribution() {
-        // Satellite regression for the BENCH_pipeline.json observation that
-        // morphing and morph∘OR report the *same* overhead_pct (13.12).
+        // Regression for the observation that morphing and morph∘OR report
+        // the *same* overhead percentage (13.12 on the throughput baseline).
         // Verified correct, not a ledger bug: ReshapeStage records every
         // byte through its own ledger (absorbed == emitted) but adds none,
         // so the composed end-to-end overhead equals the morphing
@@ -750,6 +750,55 @@ mod tests {
         // the evaluation stream.
         assert_eq!(online.segment.total, online.matrix.total());
         assert_eq!(evaluator.examples(), warmup_examples + online.segment.total);
+    }
+
+    #[test]
+    fn adaptive_adversary_beats_the_frozen_one_on_the_throughput_baseline() {
+        // The committed `throughput_baseline.toml` adversary config against
+        // its padding and morph∘OR stations: the batch ensemble is frozen
+        // after training, the prequential one keeps learning as it scores.
+        // The four mean accuracies are deterministic per seed and pinned
+        // exactly; the adaptive adversary must beat the frozen one on both.
+        use crate::scenario::{default_scenarios_dir, load_spec};
+
+        let spec = load_spec(&default_scenarios_dir().join("throughput_baseline.toml"))
+            .expect("committed spec loads");
+        let config = spec.adversary.train;
+        let mode = FeatureMode::Full;
+        let eval = config.evaluation_corpus();
+        let batch_adversary = train_adversary(&config, mode);
+        let warm = train_adversary_online(&config, mode);
+        for (defense, want_batch, want_online) in [
+            (
+                DefenseKind::Padding,
+                0.14285714285714285,
+                0.5178571428571429,
+            ),
+            (
+                DefenseKind::MorphThenReshape,
+                0.22261904761904763,
+                0.5351190476190476,
+            ),
+        ] {
+            let batch =
+                evaluate_defense(&batch_adversary, &eval, defense, &config, mode).mean_accuracy();
+            let mut evaluator = warm.clone();
+            let online = evaluate_defense_online(
+                &mut evaluator,
+                &eval,
+                defense,
+                &config,
+                config.eval_seed,
+                mode,
+            )
+            .mean_accuracy();
+            assert_eq!(batch, want_batch, "{defense:?}: batch mean accuracy");
+            assert_eq!(online, want_online, "{defense:?}: online mean accuracy");
+            assert!(
+                online > batch,
+                "{defense:?}: online {online:.3} must beat batch {batch:.3}"
+            );
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! Station outcomes are deterministic per seed whichever executor (and
 //! worker count) runs them, so the returned [`ScenarioReport`] is a pure
 //! function of the spec. It serializes straight to JSON through the serde
-//! shim, which is what `scenario_run` writes per scenario and `bench_json`
-//! embeds in the committed baseline.
+//! shim, which is what `scenario_run` writes per scenario and what the
+//! golden files under `tests/golden/` pin.
 
 use crate::pipeline::{train_adversary, train_adversary_online};
 use crate::scenario::spec::{

@@ -307,15 +307,24 @@ impl DefenseSpec {
     }
 
     /// Everything that can fail in [`build`](Self::build), checked without
-    /// constructing stages (morphing calibration is expensive).
-    pub fn validate(&self, interfaces: usize) -> Result<(), String> {
+    /// constructing stages (morphing calibration is expensive): reshape
+    /// stages need a valid interface count, and morphing needs a positive
+    /// calibration length to estimate its target distribution from.
+    pub fn validate(&self, interfaces: usize, calib_secs: f64) -> Result<(), String> {
         for stage in &self.stages {
-            if let StageSpec::Reshape {
-                algorithm,
-                interfaces: stage_interfaces,
-            } = stage
-            {
-                algorithm.validate(stage_interfaces.unwrap_or(interfaces))?;
+            match stage {
+                StageSpec::Reshape {
+                    algorithm,
+                    interfaces: stage_interfaces,
+                } => algorithm.validate(stage_interfaces.unwrap_or(interfaces))?,
+                StageSpec::Defense(DefenseStageSpec::Morphing { .. })
+                    if !(calib_secs.is_finite() && calib_secs > 0.0) =>
+                {
+                    return Err(format!(
+                        "morphing needs a positive, finite calib_secs, got {calib_secs}"
+                    ));
+                }
+                StageSpec::Defense(_) => {}
             }
         }
         Ok(())
@@ -960,8 +969,9 @@ impl CompiledScenario {
 impl ScenarioSpec {
     /// Compiles the spec into a [`CompiledScenario`], validating everything
     /// that can fail statically: station population non-empty, positive
-    /// durations, event indices in range, reshape stages valid for their
-    /// interface counts, and a coherent event schedule (a station cannot
+    /// durations, a trainable adversary, event indices in range, reshape
+    /// stages valid for their interface counts, a calibration length
+    /// wherever a stage morphs, and a coherent event schedule (a station cannot
     /// depart before it arrives, and targeted splices must land inside the
     /// target's active interval). The population itself stays symbolic, so
     /// compiling a million-station spec is O(groups + events).
@@ -971,6 +981,21 @@ impl ScenarioSpec {
         }
         if self.window_secs <= 0.0 {
             return Err("window_secs must be positive".to_string());
+        }
+        let train = &self.adversary.train;
+        if !(train.window_secs.is_finite() && train.window_secs > 0.0) {
+            return Err(format!(
+                "[adversary.train] window_secs must be positive and finite, got {}",
+                train.window_secs
+            ));
+        }
+        // An online adversary may start cold; a batch one has nothing to
+        // train on.
+        if self.adversary.mode == AdversaryMode::Batch && train.train_sessions == 0 {
+            return Err(
+                "[adversary.train] train_sessions must be at least 1 for a batch adversary"
+                    .to_string(),
+            );
         }
         let mut groups = Vec::with_capacity(self.stations.len());
         let mut first = 0usize;
@@ -990,7 +1015,7 @@ impl ScenarioSpec {
             let interfaces = group.interfaces.unwrap_or(self.interfaces);
             group
                 .defense
-                .validate(interfaces)
+                .validate(interfaces, self.calib_secs)
                 .map_err(|e| format!("station group {group_index} ({}): {e}", group.app))?;
             let base_seed = group
                 .seed
@@ -1077,7 +1102,7 @@ impl ScenarioSpec {
                 EventKind::Splice(defense) => match event.station {
                     Some(i) => {
                         defense
-                            .validate(population.group_of(i).interfaces)
+                            .validate(population.group_of(i).interfaces, self.calib_secs)
                             .map_err(|e| {
                                 format!("{}: splice on station {i}: {e}", event.describe(index))
                             })?;
@@ -1093,13 +1118,15 @@ impl ScenarioSpec {
                     }
                     None => {
                         for (gi, group) in population.groups.iter().enumerate() {
-                            defense.validate(group.interfaces).map_err(|e| {
-                                format!(
-                                    "{}: splice on station group {gi} ({}): {e}",
-                                    event.describe(index),
-                                    group.app
-                                )
-                            })?;
+                            defense
+                                .validate(group.interfaces, self.calib_secs)
+                                .map_err(|e| {
+                                    format!(
+                                        "{}: splice on station group {gi} ({}): {e}",
+                                        event.describe(index),
+                                        group.app
+                                    )
+                                })?;
                         }
                     }
                 },
@@ -1352,6 +1379,60 @@ mod tests {
         let mut bad_stagger = demo_spec();
         bad_stagger.stations[0].stagger_secs = -1.0;
         assert!(bad_stagger.build().unwrap_err().contains("stagger"));
+    }
+
+    #[test]
+    fn morphing_without_a_calibration_length_is_rejected_at_build_time() {
+        let mut spec = demo_spec();
+        spec.calib_secs = 0.0;
+        // No morphing stage: the calibration length is never used.
+        assert!(spec.build().is_ok());
+
+        spec.stations[1].defense = DefenseSpec::from_kind(DefenseKind::Morphing);
+        let err = spec.build().unwrap_err();
+        assert!(
+            err.contains("station group 1") && err.contains("calib_secs"),
+            "{err}"
+        );
+
+        // A splice that morphs needs it just as much.
+        spec.stations[1].defense = DefenseSpec::none();
+        spec.events = vec![EventSpec {
+            at_secs: 10.0,
+            station: None,
+            kind: EventKind::Splice(DefenseSpec::from_kind(DefenseKind::MorphThenReshape)),
+            line: Some(12),
+        }];
+        let err = spec.build().unwrap_err();
+        assert!(
+            err.contains("line 12") && err.contains("calib_secs"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn batch_adversary_without_training_sessions_is_rejected_at_build_time() {
+        let mut spec = demo_spec();
+        spec.adversary.train.train_sessions = 0;
+        let err = spec.build().unwrap_err();
+        assert!(err.contains("train_sessions"), "{err}");
+
+        // The online adversary starts cold and learns on the stations.
+        spec.adversary.mode = AdversaryMode::Online;
+        assert!(spec.build().is_ok());
+    }
+
+    #[test]
+    fn adversary_without_a_training_window_is_rejected_at_build_time() {
+        for window_secs in [0.0, -5.0, f64::NAN] {
+            let mut spec = demo_spec();
+            spec.adversary.train.window_secs = window_secs;
+            let err = spec.build().unwrap_err();
+            assert!(
+                err.contains("[adversary.train] window_secs"),
+                "{window_secs}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -43,166 +43,64 @@ pub use machine::{FrozenScorer, PhaseReport, ScheduledReport, WindowScorer, WIND
 pub use run::{StationRun, STATION_CALIB_SECS};
 pub use vtime::{ExecutionOutcome, Executor, ExecutorStats};
 
-use crate::pipeline::DefenseKind;
-use crate::scenario::spec::DefenseSpec;
-use classifier::online::PrequentialPoint;
-use defenses::overhead::Overhead;
-use traffic_gen::app::AppKind;
-use traffic_gen::spec::TrafficSpec;
-
-/// One station of a multi-station streaming scenario.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StationSpec {
-    /// The application the station runs.
-    pub app: AppKind,
-    /// Seed of the station's traffic stream (and of seeded stages).
-    pub seed: u64,
-    /// The defense pipeline protecting the station — any [`DefenseKind`],
-    /// including the composed morph-then-reshape pipeline.
-    pub defense: DefenseKind,
-    /// Number of virtual interfaces for the reshaping stages.
-    pub interfaces: usize,
-    /// Session length in seconds. Streaming keeps memory flat, so this can be
-    /// hours — far past what a materialised trace would tolerate.
-    pub session_secs: f64,
-}
-
-impl StationSpec {
-    /// The spec as a [`StationRun`] builder.
-    pub fn to_run(&self) -> StationRun<'static> {
-        StationRun::new(TrafficSpec::bounded(self.app, self.seed, self.session_secs))
-            .defense(DefenseSpec::from_kind(self.defense))
-            .interfaces(self.interfaces)
-    }
-}
-
-/// What one station's streamed session looked like to the adversary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StationReport {
-    /// The station's ground-truth application.
-    pub app: AppKind,
-    /// Packets that left the station's defense pipeline.
-    pub packets: u64,
-    /// Bytes that left the pipeline (equals the generated bytes for
-    /// zero-overhead defenses; larger under padding/morphing).
-    pub bytes: u64,
-    /// The defense pipeline's end-to-end overhead ledger.
-    pub overhead: Overhead,
-    /// Windows the adversary could classify across all sub-flows.
-    pub windows: usize,
-    /// Windows the adversary identified correctly (majority vote).
-    pub windows_identified: usize,
-}
-
-impl StationReport {
-    /// The adversary's per-station recognition rate (0 when no windows).
-    pub fn identification_rate(&self) -> f64 {
-        if self.windows == 0 {
-            0.0
-        } else {
-            self.windows_identified as f64 / self.windows as f64
-        }
-    }
-}
-
-/// What one station's streamed session looked like to a **live, learning**
-/// adversary: the [`StationReport`] counters plus the station's own
-/// prequential identification trajectory.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OnlineStationReport {
-    /// The station's ground-truth application.
-    pub app: AppKind,
-    /// Packets that left the station's defense pipeline.
-    pub packets: u64,
-    /// The defense pipeline's end-to-end overhead ledger.
-    pub overhead: Overhead,
-    /// Windows scored (test-then-train) across all sub-flows.
-    pub windows: u64,
-    /// Windows the live adversary identified correctly (majority vote,
-    /// scored *before* learning from the window).
-    pub windows_identified: u64,
-    /// The station's live identification trajectory: cumulative prequential
-    /// accuracy sampled every `STATION_SNAPSHOT_EVERY` windows.
-    pub timeline: Vec<PrequentialPoint>,
-}
-
-impl OnlineStationReport {
-    /// The live adversary's per-station recognition rate (0 when no windows).
-    pub fn identification_rate(&self) -> f64 {
-        if self.windows == 0 {
-            0.0
-        } else {
-            self.windows_identified as f64 / self.windows as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::corpus::ExperimentConfig;
-    use crate::pipeline::{defense_pipeline, train_adversary};
+    use crate::pipeline::{defense_pipeline, train_adversary, DefenseKind};
+    use crate::scenario::spec::DefenseSpec;
     use classifier::ensemble::AdversaryEnsemble;
-    use classifier::online::{OnlineAdversary, PrequentialEvaluator};
+    use classifier::online::{OnlineAdversary, PrequentialEvaluator, PrequentialPoint};
     use classifier::window::FeatureMode;
+    use traffic_gen::app::AppKind;
+    use traffic_gen::spec::TrafficSpec;
     use wlan_sim::time::SimDuration;
 
     /// Snapshot cadence (in windows) of per-station prequential timelines.
     const STATION_SNAPSHOT_EVERY: u64 = 10;
 
-    /// [`ScheduledReport`] → the legacy batch-mode counters.
-    fn station_report(report: &ScheduledReport) -> StationReport {
-        let overhead = report.overhead();
-        StationReport {
-            app: report.app,
-            packets: overhead.transformed_packets,
-            bytes: overhead.transformed_bytes,
-            overhead,
-            windows: report.windows() as usize,
-            windows_identified: report.windows_identified() as usize,
-        }
+    /// One generated station: `secs` seconds of `app` traffic behind
+    /// `defense` on `interfaces` virtual interfaces.
+    fn station(
+        app: AppKind,
+        seed: u64,
+        defense: DefenseKind,
+        interfaces: usize,
+        secs: f64,
+    ) -> StationRun<'static> {
+        StationRun::new(TrafficSpec::bounded(app, seed, secs))
+            .defense(DefenseSpec::from_kind(defense))
+            .interfaces(interfaces)
     }
 
-    /// One spec'd station against a frozen ensemble, via the builder.
+    /// One station against a frozen ensemble.
     fn frozen_station(
-        spec: &StationSpec,
+        run: StationRun<'static>,
         adversary: &AdversaryEnsemble,
         window: SimDuration,
         mode: FeatureMode,
-    ) -> StationReport {
-        let report = spec
-            .to_run()
-            .window(window)
+    ) -> ScheduledReport {
+        run.window(window)
             .feature_mode(mode)
             .run(&mut FrozenScorer::new(adversary))
-            .expect("legacy defense kinds always build");
-        station_report(&report)
+            .expect("defense kinds always build")
     }
 
-    /// One spec'd station against a per-station fork of a live adversary,
-    /// via the builder.
+    /// One station against a per-station fork of a live adversary: its
+    /// report plus its prequential identification trajectory.
     fn online_station(
-        spec: &StationSpec,
+        run: StationRun<'static>,
         base: &OnlineAdversary,
         window: SimDuration,
         mode: FeatureMode,
-    ) -> OnlineStationReport {
+    ) -> (ScheduledReport, Vec<PrequentialPoint>) {
         let mut evaluator = PrequentialEvaluator::new(base.clone(), STATION_SNAPSHOT_EVERY);
-        let report = spec
-            .to_run()
+        let report = run
             .window(window)
             .feature_mode(mode)
             .run(&mut evaluator)
-            .expect("legacy defense kinds always build");
-        let overhead = report.overhead();
-        OnlineStationReport {
-            app: report.app,
-            packets: overhead.transformed_packets,
-            overhead,
-            windows: report.windows(),
-            windows_identified: report.windows_identified(),
-            timeline: evaluator.timeline().to_vec(),
-        }
+            .expect("defense kinds always build");
+        (report, evaluator.timeline().to_vec())
     }
 
     fn quick_adversary() -> AdversaryEnsemble {
@@ -234,7 +132,9 @@ mod tests {
         assert_eq!(report.overhead().percent(), 0.0, "OR is zero-overhead");
     }
 
-    fn mixed_specs(count: usize) -> Vec<StationSpec> {
+    /// The `(app, defense)` of the `i`-th station of a mixed population:
+    /// every application and every defense kind in rotation.
+    fn mixed_kind(i: usize) -> (AppKind, DefenseKind) {
         let kinds = [
             DefenseKind::None,
             DefenseKind::FrequencyHopping,
@@ -247,15 +147,14 @@ mod tests {
             DefenseKind::Morphing,
             DefenseKind::MorphThenReshape,
         ];
-        (0..count)
-            .map(|i| StationSpec {
-                app: AppKind::ALL[i % AppKind::COUNT],
-                seed: 300 + i as u64,
-                defense: kinds[i % kinds.len()],
-                interfaces: 3,
-                session_secs: 15.0,
-            })
-            .collect()
+        (AppKind::ALL[i % AppKind::COUNT], kinds[i % kinds.len()])
+    }
+
+    /// The `i`-th station of a mixed population: 15 s sessions on 3
+    /// interfaces.
+    fn mixed_station(i: usize) -> StationRun<'static> {
+        let (app, defense) = mixed_kind(i);
+        station(app, 300 + i as u64, defense, 3, 15.0)
     }
 
     #[test]
@@ -265,22 +164,21 @@ mod tests {
         // available_parallelism workers. The pool must produce exactly what
         // running each station sequentially produces, in station order.
         let adversary = quick_adversary();
-        let stations = mixed_specs(48);
+        let stations = 48;
         let outcome = Executor::Pooled
             .run(
-                stations.len(),
-                |i| stations[i].to_run(),
+                stations,
+                mixed_station,
                 |_| FrozenScorer::new(&adversary),
-                |_, report, _| station_report(&report),
+                |_, report, _| report,
             )
             .expect("every defense kind builds");
-        assert_eq!(outcome.results.len(), stations.len());
-        assert_eq!(outcome.stats.admitted, stations.len());
-        let sequential: Vec<StationReport> = stations
-            .iter()
-            .map(|spec| {
+        assert_eq!(outcome.results.len(), stations);
+        assert_eq!(outcome.stats.admitted, stations);
+        let sequential: Vec<ScheduledReport> = (0..stations)
+            .map(|i| {
                 frozen_station(
-                    spec,
+                    mixed_station(i),
                     &adversary,
                     SimDuration::from_secs(5),
                     FeatureMode::Full,
@@ -288,14 +186,19 @@ mod tests {
             })
             .collect();
         assert_eq!(outcome.results, sequential);
-        for (spec, report) in stations.iter().zip(&outcome.results) {
-            assert_eq!(report.app, spec.app);
-            assert!(report.packets > 0, "{:?} streamed nothing", spec.app);
+        for (i, report) in outcome.results.iter().enumerate() {
+            let (app, _) = mixed_kind(i);
+            assert_eq!(report.app, app);
+            assert!(
+                report.overhead().transformed_packets > 0,
+                "{app:?} streamed nothing"
+            );
         }
         // Transforming defenses report their cost through the shared ledger.
-        for (spec, report) in stations.iter().zip(&outcome.results) {
-            match spec.defense {
-                DefenseKind::Padding => assert!(report.overhead.percent() > 0.0),
+        for (i, report) in outcome.results.iter().enumerate() {
+            let overhead = report.overhead();
+            match mixed_kind(i).1 {
+                DefenseKind::Padding => assert!(overhead.percent() > 0.0),
                 DefenseKind::None
                 | DefenseKind::FrequencyHopping
                 | DefenseKind::Pseudonym
@@ -303,10 +206,10 @@ mod tests {
                 | DefenseKind::RoundRobin
                 | DefenseKind::Orthogonal
                 | DefenseKind::OrthogonalModulo => {
-                    assert_eq!(report.overhead.added_bytes(), 0)
+                    assert_eq!(overhead.added_bytes(), 0)
                 }
                 DefenseKind::Morphing | DefenseKind::MorphThenReshape => {
-                    assert!(report.overhead.percent() >= 0.0)
+                    assert!(overhead.percent() >= 0.0)
                 }
             }
         }
@@ -320,14 +223,14 @@ mod tests {
         // peak-active count that is sharding-invariant and far below the
         // population.
         let adversary = quick_adversary();
-        let stations = mixed_specs(24);
-        let run_of = |i: usize| stations[i].to_run().arrival_secs(20.0 * i as f64);
+        let stations = 24;
+        let run_of = |i: usize| mixed_station(i).arrival_secs(20.0 * i as f64);
         let baseline = Executor::Pooled
             .run(
-                stations.len(),
+                stations,
                 run_of,
                 |_| FrozenScorer::new(&adversary),
-                |_, report, _| station_report(&report),
+                |_, report, _| report,
             )
             .expect("every defense kind builds");
         let mut events_popped = None;
@@ -337,10 +240,10 @@ mod tests {
                 max_slice: None,
             }
             .run(
-                stations.len(),
+                stations,
                 run_of,
                 |_| FrozenScorer::new(&adversary),
-                |_, report, _| station_report(&report),
+                |_, report, _| report,
             )
             .expect("every defense kind builds");
             assert_eq!(
@@ -348,7 +251,7 @@ mod tests {
                 "{workers}-worker virtual time diverged from the pool"
             );
             assert_eq!(outcome.stats.workers, workers);
-            assert_eq!(outcome.stats.admitted, stations.len());
+            assert_eq!(outcome.stats.admitted, stations);
             assert_eq!(
                 outcome.stats.peak_active, 1,
                 "20 s gaps over 15 s sessions never overlap"
@@ -360,7 +263,7 @@ mod tests {
             );
             // Unbounded coalescing: one admit + one retire per station, and
             // the counters are sharding-invariant.
-            assert_eq!(outcome.stats.events_popped, 2 * stations.len() as u64);
+            assert_eq!(outcome.stats.events_popped, 2 * stations as u64);
             assert_eq!(outcome.stats.packets, baseline.stats.packets);
             assert!(outcome.stats.packets_per_event() > 1.0);
             assert_eq!(
@@ -375,14 +278,14 @@ mod tests {
             max_slice: None,
         }
         .run(
-            stations.len(),
-            |i| stations[i].to_run(),
+            stations,
+            mixed_station,
             |_| FrozenScorer::new(&adversary),
-            |_, report, _| station_report(&report),
+            |_, report, _| report,
         )
         .expect("every defense kind builds");
         assert_eq!(all_at_once.results, baseline.results);
-        assert_eq!(all_at_once.stats.peak_active, stations.len());
+        assert_eq!(all_at_once.stats.peak_active, stations);
     }
 
     #[test]
@@ -396,44 +299,28 @@ mod tests {
             DefenseKind::Padding,
             DefenseKind::MorphThenReshape,
         ];
-        let stations: Vec<StationSpec> = (0..12)
-            .map(|i| StationSpec {
-                app: AppKind::ALL[i % AppKind::COUNT],
-                seed: 900 + i as u64,
-                defense: kinds[i % kinds.len()],
-                interfaces: 3,
-                session_secs: 30.0,
-            })
-            .collect();
+        let app_of = |i: usize| AppKind::ALL[i % AppKind::COUNT];
+        let station_of =
+            |i: usize| station(app_of(i), 900 + i as u64, kinds[i % kinds.len()], 3, 30.0);
+        let stations = 12;
         let window = SimDuration::from_secs(5);
         let outcome = Executor::Pooled
             .run(
-                stations.len(),
-                |i| stations[i].to_run().window(window),
+                stations,
+                |i| station_of(i).window(window),
                 |_| PrequentialEvaluator::new(base.clone(), STATION_SNAPSHOT_EVERY),
-                |_, report, evaluator| {
-                    let overhead = report.overhead();
-                    OnlineStationReport {
-                        app: report.app,
-                        packets: overhead.transformed_packets,
-                        overhead,
-                        windows: report.windows(),
-                        windows_identified: report.windows_identified(),
-                        timeline: evaluator.timeline().to_vec(),
-                    }
-                },
+                |_, report, evaluator| (report, evaluator.timeline().to_vec()),
             )
-            .expect("legacy defense kinds always build");
+            .expect("defense kinds always build");
         let pooled = outcome.results;
-        let sequential: Vec<OnlineStationReport> = stations
-            .iter()
-            .map(|spec| online_station(spec, &base, window, FeatureMode::Full))
+        let sequential: Vec<_> = (0..stations)
+            .map(|i| online_station(station_of(i), &base, window, FeatureMode::Full))
             .collect();
         assert_eq!(pooled, sequential);
-        for (spec, report) in stations.iter().zip(&pooled) {
-            assert_eq!(report.app, spec.app);
-            assert!(report.packets > 0);
-            assert!(report.windows_identified <= report.windows);
+        for (i, (report, _)) in pooled.iter().enumerate() {
+            assert_eq!(report.app, app_of(i));
+            assert!(report.overhead().transformed_packets > 0);
+            assert!(report.windows_identified() <= report.windows());
             assert!(report.identification_rate() <= 1.0);
         }
     }
@@ -441,23 +328,21 @@ mod tests {
     #[test]
     fn warm_started_live_adversary_locks_onto_an_undefended_station() {
         let base = warm_base();
-        let spec = StationSpec {
-            app: AppKind::BitTorrent,
-            seed: 41,
-            defense: DefenseKind::None,
-            interfaces: 1,
-            session_secs: 240.0,
-        };
-        let report = online_station(&spec, &base, SimDuration::from_secs(5), FeatureMode::Full);
-        assert!(report.windows > 30, "windows {}", report.windows);
+        let (report, timeline) = online_station(
+            station(AppKind::BitTorrent, 41, DefenseKind::None, 1, 240.0),
+            &base,
+            SimDuration::from_secs(5),
+            FeatureMode::Full,
+        );
+        assert!(report.windows() > 30, "windows {}", report.windows());
         assert!(
             report.identification_rate() > 0.7,
             "a warm adversary should identify an undefended station: rate {:.2}",
             report.identification_rate()
         );
-        assert!(!report.timeline.is_empty());
+        assert!(!timeline.is_empty());
         // The trajectory is live: sampled while the session streamed.
-        assert!(report.timeline.last().expect("non-empty").examples <= report.windows);
+        assert!(timeline.last().expect("non-empty").examples <= report.windows());
     }
 
     #[test]
@@ -603,21 +488,17 @@ mod tests {
         // than the same undefended session.
         let adversary = quick_adversary();
         let window = SimDuration::from_secs(5);
-        let make = |defense: DefenseKind, interfaces: usize| StationSpec {
-            app: AppKind::BitTorrent,
-            seed: 9,
-            defense,
-            interfaces,
-            session_secs: 120.0,
+        let make = |defense: DefenseKind, interfaces: usize| {
+            station(AppKind::BitTorrent, 9, defense, interfaces, 120.0)
         };
         let undefended = frozen_station(
-            &make(DefenseKind::None, 1),
+            make(DefenseKind::None, 1),
             &adversary,
             window,
             FeatureMode::Full,
         );
         let defended = frozen_station(
-            &make(DefenseKind::Orthogonal, 3),
+            make(DefenseKind::Orthogonal, 3),
             &adversary,
             window,
             FeatureMode::Full,
@@ -637,35 +518,28 @@ mod tests {
         // generated-traffic run exactly.
         let adversary = quick_adversary();
         let window = SimDuration::from_secs(5);
-        let spec = StationSpec {
-            app: AppKind::BitTorrent,
-            seed: 77,
-            defense: DefenseKind::Padding,
-            interfaces: 3,
-            session_secs: 30.0,
-        };
+        let (app, seed, interfaces, secs) = (AppKind::BitTorrent, 77, 3, 30.0);
         let make_phases = || {
             vec![(
                 0.0,
                 defense_pipeline(
                     DefenseKind::Orthogonal,
-                    spec.app,
-                    spec.interfaces,
-                    spec.seed,
+                    app,
+                    interfaces,
+                    seed,
                     STATION_CALIB_SECS,
                     None,
                 ),
             )]
         };
-        let mut session =
-            traffic_gen::stream::StreamingSession::bounded(spec.app, spec.seed, spec.session_secs);
-        let external = StationRun::from_source(spec.app, &mut session)
+        let mut session = traffic_gen::stream::StreamingSession::bounded(app, seed, secs);
+        let external = StationRun::from_source(app, &mut session)
             .phases(make_phases())
             .window(window)
             .feature_mode(FeatureMode::Full)
             .run(&mut FrozenScorer::new(&adversary))
             .expect("pre-built phases cannot fail");
-        let direct = StationRun::new(TrafficSpec::bounded(spec.app, spec.seed, spec.session_secs))
+        let direct = StationRun::new(TrafficSpec::bounded(app, seed, secs))
             .phases(make_phases())
             .run(&mut FrozenScorer::new(&adversary))
             .expect("pre-built phases cannot fail");

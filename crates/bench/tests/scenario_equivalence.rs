@@ -2,11 +2,11 @@
 //!
 //! 1. Every committed spec under `scenarios/` parses and compiles through
 //!    `ScenarioSpec::build()` (what CI's `scenario_run --check` gates on).
-//! 2. The committed throughput baseline carries exactly the workload
-//!    `bench_json` hard-coded before the refactor, and the pipelines built
-//!    from its specs are **byte-identical** to independent hand-coded
-//!    constructions of the same defenses — so the refactored `bench_json`
-//!    reproduces its prior numbers from data.
+//! 2. The committed throughput baseline carries exactly the workload that
+//!    was hard-coded before the scenario engine, with its recorded defended
+//!    overheads, and the pipelines built from its specs are
+//!    **byte-identical** to independent hand-coded constructions of the same
+//!    defenses.
 //! 3. The shorthand ↔ declarative bridge round-trips every `DefenseKind`.
 
 use bench::pipeline::DefenseKind;
@@ -47,7 +47,7 @@ fn every_committed_scenario_spec_parses_and_builds() {
 
 #[test]
 fn throughput_baseline_spec_pins_the_historical_bench_json_workload() {
-    // The exact parameters bench_json hard-coded before the scenario engine:
+    // The exact parameters hard-coded before the scenario engine:
     // BitTorrent seed 1 for 60 s, W = 5 s, 3 interfaces, quick()-sized
     // adversary, stations in padding/morphing/morph∘OR order.
     let spec = load_spec(&default_scenarios_dir().join("throughput_baseline.toml"))
@@ -76,9 +76,34 @@ fn throughput_baseline_spec_pins_the_historical_bench_json_workload() {
         assert_eq!(station.interfaces, 3);
     }
     // The spec'd trace is the historical workload trace, packet for packet.
+    let trace = scenario.station(0).traffic.trace();
     assert_eq!(
-        scenario.station(0).traffic.trace(),
+        trace,
         SessionGenerator::new(AppKind::BitTorrent, 1).generate_secs(60.0)
+    );
+    // The defended overhead of each station's pipeline, calibrated on and
+    // run over that trace, as the retired throughput baseline recorded it
+    // (63.76 %, 13.12 %, 13.12 %).
+    let overheads: Vec<f64> = scenario
+        .stations()
+        .map(|station| {
+            let ctx = StageContext {
+                app: station.traffic.app,
+                seed: station.traffic.seed,
+                calib_secs: scenario.calib_secs,
+                source: Some(&trace),
+            };
+            let mut pipeline = station
+                .defense
+                .build(&ctx, station.interfaces)
+                .expect("valid spec");
+            pipeline.run(&mut trace.stream(), |_, _| {});
+            pipeline.overhead().percent()
+        })
+        .collect();
+    assert_eq!(
+        overheads,
+        vec![63.75842522585885, 13.11566596613443, 13.11566596613443]
     );
 }
 
