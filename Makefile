@@ -1,6 +1,6 @@
 # Local targets mirroring the CI jobs so local and CI runs are identical.
 
-.PHONY: verify build test fmt lint scenario-check scenario-json perfbench-smoke examples ci
+.PHONY: verify build test fmt lint scenario-check scenario-json experiments-smoke perfbench-smoke examples ci
 
 # The tier-1 gate: exactly what the driver and the CI `test` job run.
 verify:
@@ -32,6 +32,13 @@ scenario-check:
 scenario-json:
 	cargo run --release -p bench --bin scenario_run -- --skip-over 100000 --out scenario-results scenarios
 
+# Runs every paper table, figure and ablation at the quick preset (well under
+# a second of run time after the release build), so a runner that panics
+# fails CI. The table values themselves are pinned by
+# crates/bench/tests/table_goldens.rs.
+experiments-smoke:
+	cargo run --release -p bench --bin experiments -- quick all
+
 # Reduced-size smoke run of the repository benchmark (perfbench/, its own
 # Cargo package): every workload, untraced and traced, every metric named in
 # BENCHMARK.json. perfbench drives the library only through its public API,
@@ -44,4 +51,4 @@ examples:
 	cargo build --examples
 
 # Everything CI gates on, in one shot.
-ci: fmt lint verify test scenario-check perfbench-smoke examples
+ci: fmt lint verify test scenario-check experiments-smoke perfbench-smoke examples

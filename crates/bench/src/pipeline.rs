@@ -12,18 +12,13 @@
 //! application traffic looks like, and the defense succeeds when per-interface
 //! sub-flows no longer resemble it.
 //!
-//! Since the stage refactor there is exactly **one** defended data path:
-//! [`defense_pipeline`] builds a streaming
-//! [`StagePipeline`] for any [`DefenseKind`] — padding, morphing, pseudonyms,
-//! frequency hopping, the reshaping schedulers, or compositions of them — and
-//! [`defended_examples`] streams packets through it into one
-//! [`StreamingWindower`] per emitted sub-flow, touching each packet exactly
-//! once. There is no defense-specific batch plumbing left in the evaluation;
-//! the batch wrappers survive only inside [`apply_defense`], which is kept as
-//! the independent reference the equivalence tests check the streaming path
-//! against.
+//! The tables run on the station machine: [`evaluate_defense`] runs each
+//! evaluation trace as one [`StationRun`] on [`Executor::Pooled`], scored
+//! per member by a [`MemberScorer`]. [`defended_examples`] (per packet) and
+//! [`apply_defense`] (batch wrappers) remain as references; the online
+//! evaluation also uses [`defended_examples`], because its one learner must
+//! see windows interleaved across traces.
 
-use classifier::dataset::Dataset;
 use classifier::ensemble::{AdversaryEnsemble, EnsembleConfig};
 use classifier::features::FEATURE_DIM;
 use classifier::metrics::ConfusionMatrix;
@@ -34,20 +29,20 @@ use defenses::frequency_hopping::FrequencyHopper;
 use defenses::morphing::{paper_morphing_target, TrafficMorpher};
 use defenses::padding::PacketPadder;
 use defenses::pseudonym::PseudonymRotator;
+use defenses::spec::StageContext;
 use defenses::stage::{FlowId, StagePipeline};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use reshape_core::ranges::SizeRanges;
 use reshape_core::reshaper::Reshaper;
-use reshape_core::scheduler::{
-    OrthogonalModulo, OrthogonalRanges, RandomAssign, ReshapeAlgorithm, RoundRobin,
-};
 use serde::{Deserialize, Serialize};
 use traffic_gen::app::AppKind;
 use traffic_gen::generator::SessionGenerator;
 use traffic_gen::trace::Trace;
 
 use crate::corpus::ExperimentConfig;
+use crate::scenario::{AlgorithmSpec, DefenseSpec};
+use crate::streaming::vtime::pooled;
+use crate::streaming::{Executor, MemberScorer, StationRun};
 
 /// The defenses compared by the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -155,55 +150,16 @@ pub fn train_adversary(config: &ExperimentConfig, mode: FeatureMode) -> Adversar
     )
 }
 
-/// The scheduling algorithm behind a pure reshaping defense, or `None` for
-/// the defenses that transform or time/identity-partition traffic (or
-/// compose several stages).
-pub fn reshape_algorithm(
-    defense: DefenseKind,
-    config: &ExperimentConfig,
-    seed: u64,
-) -> Option<Box<dyn ReshapeAlgorithm>> {
-    scheduler_for(defense, config.interfaces, seed)
-}
-
-/// [`reshape_algorithm`] with the interface count passed directly (the
-/// station scenario has no [`ExperimentConfig`]).
-fn scheduler_for(
-    defense: DefenseKind,
-    interfaces: usize,
-    seed: u64,
-) -> Option<Box<dyn ReshapeAlgorithm>> {
-    match defense {
-        DefenseKind::Random => Some(Box::new(RandomAssign::new(interfaces, seed))),
-        DefenseKind::RoundRobin => Some(Box::new(RoundRobin::new(interfaces))),
-        DefenseKind::Orthogonal => Some(Box::new(OrthogonalRanges::new(
-            SizeRanges::for_interface_count(interfaces)
-                .expect("experiment interface count is valid"),
-        ))),
-        DefenseKind::OrthogonalModulo => Some(Box::new(OrthogonalModulo::new(interfaces))),
-        DefenseKind::None
-        | DefenseKind::FrequencyHopping
-        | DefenseKind::Pseudonym
-        | DefenseKind::Padding
-        | DefenseKind::Morphing
-        | DefenseKind::MorphThenReshape => None,
-    }
-}
-
-/// Builds the streaming stage pipeline of any defense — the single defended
-/// data path shared by the table evaluation, the multi-station scenario and
-/// the throughput baseline.
-///
-/// Since the scenario-engine refactor this is a thin wrapper over the
-/// declarative form: the kind expands to its
-/// [`DefenseSpec`](crate::scenario::DefenseSpec) stage list, which builds the
-/// pipeline with the same construction (and the same seeds) the scenario
-/// engine uses for spec files.
+/// Builds the streaming stage pipeline of any defense: the kind expands to
+/// its [`DefenseSpec`] stage list, built with the same construction (and the
+/// same seeds) the scenario engine uses for spec files.
 ///
 /// `calib_secs` sizes the generated calibration sessions the morphing stages
 /// need (the paper's training-session length); `source` optionally provides
 /// the materialised trace so batch-equivalent runs estimate the morphing
 /// source CDF from the actual traffic, exactly like the batch wrapper.
+/// Panics if the pipeline cannot be built (an interface count orthogonal
+/// reshaping does not support, or an empty morphing calibration session).
 pub fn defense_pipeline(
     defense: DefenseKind,
     app: AppKind,
@@ -212,7 +168,15 @@ pub fn defense_pipeline(
     calib_secs: f64,
     source: Option<&Trace>,
 ) -> StagePipeline {
-    crate::scenario::kind_pipeline(defense, app, interfaces, seed, calib_secs, source)
+    let ctx = StageContext {
+        app,
+        seed,
+        calib_secs,
+        source,
+    };
+    DefenseSpec::from_kind(defense)
+        .build(&ctx, interfaces)
+        .unwrap_or_else(|e| panic!("{}: {e}", defense.label()))
 }
 
 /// Applies a defense to one labelled trace, returning the sub-flows the
@@ -221,7 +185,7 @@ pub fn defense_pipeline(
 ///
 /// This is the **batch reference** built on the per-defense batch wrappers
 /// (`apply` / `partition` / `Reshaper`), kept so the equivalence tests can
-/// check the unified streaming path against an independent composition; the
+/// check the streaming path against an independent composition; the
 /// evaluation itself never calls it.
 pub fn apply_defense(
     trace: &Trace,
@@ -229,12 +193,15 @@ pub fn apply_defense(
     config: &ExperimentConfig,
     seed: u64,
 ) -> Vec<Trace> {
-    if let Some(algorithm) = reshape_algorithm(defense, config, seed) {
-        return Reshaper::new(algorithm)
+    let reshape = |algorithm: AlgorithmSpec, trace: &Trace| {
+        let scheduler = algorithm
+            .build(config.interfaces, seed)
+            .expect("experiment interface count is valid");
+        Reshaper::new(scheduler)
             .reshape(trace)
             .sub_traces()
-            .to_vec();
-    }
+            .to_vec()
+    };
     match defense {
         DefenseKind::None => vec![trace.clone()],
         DefenseKind::FrequencyHopping => FrequencyHopper::default()
@@ -252,27 +219,19 @@ pub fn apply_defense(
         }
         DefenseKind::Padding => vec![PacketPadder::new().apply(trace).0],
         DefenseKind::Morphing => vec![morphed_reference(trace, config, seed)],
-        DefenseKind::MorphThenReshape => {
-            let morphed = morphed_reference(trace, config, seed);
-            Reshaper::new(Box::new(OrthogonalRanges::new(
-                SizeRanges::for_interface_count(config.interfaces)
-                    .expect("experiment interface count is valid"),
-            )))
-            .reshape(&morphed)
-            .sub_traces()
-            .to_vec()
-        }
-        DefenseKind::Random
-        | DefenseKind::RoundRobin
-        | DefenseKind::Orthogonal
-        | DefenseKind::OrthogonalModulo => {
-            unreachable!("reshaping defenses handled above")
-        }
+        DefenseKind::MorphThenReshape => reshape(
+            AlgorithmSpec::Orthogonal,
+            &morphed_reference(trace, config, seed),
+        ),
+        DefenseKind::Random => reshape(AlgorithmSpec::Random, trace),
+        DefenseKind::RoundRobin => reshape(AlgorithmSpec::RoundRobin, trace),
+        DefenseKind::Orthogonal => reshape(AlgorithmSpec::Orthogonal, trace),
+        DefenseKind::OrthogonalModulo => reshape(AlgorithmSpec::OrthogonalModulo, trace),
     }
 }
 
 /// The batch morphing reference: the paper pairing with the same seeds as the
-/// streaming [`morphing_stage`].
+/// streaming morphing stage.
 fn morphed_reference(trace: &Trace, config: &ExperimentConfig, seed: u64) -> Trace {
     let app = trace.app().expect("evaluation traces are labelled");
     let target_app = paper_morphing_target(app);
@@ -283,13 +242,10 @@ fn morphed_reference(trace: &Trace, config: &ExperimentConfig, seed: u64) -> Tra
         .0
 }
 
-/// Streams one evaluation trace through a defense and returns every window
-/// example the adversary observes.
-///
-/// Every defense — transforming, partitioning, reshaping or composed — runs
-/// through the same [`StagePipeline`]: packets stream from the trace through
-/// the stages into one [`StreamingWindower`] per emitted sub-flow, touching
-/// each packet exactly once with no sub-trace or window materialisation.
+/// Streams one evaluation trace through a defense, one packet at a time,
+/// into one windower per emitted sub-flow, and returns every window example
+/// the adversary observes: the per-packet reference of [`evaluate_defense`].
+/// Unlabelled traces yield no examples.
 pub fn defended_examples(
     trace: &Trace,
     defense: DefenseKind,
@@ -320,13 +276,13 @@ pub fn defended_examples(
 }
 
 /// Evaluates one defense: the adversary classifies every window of every
-/// observed sub-flow; the resulting confusion matrix is returned.
+/// observed sub-flow, and its best member's confusion matrix (the paper's
+/// best-classifier convention) is returned, covering all seven classes.
 ///
-/// The evaluation is sharded with scoped threads — one shard per evaluation
-/// trace, at most `available_parallelism` in flight — and each shard streams
-/// its trace through the defense via [`defended_examples`]. Shard results are
-/// joined in trace order, so the outcome is deterministic regardless of
-/// thread scheduling.
+/// Each labelled trace runs as one [`StationRun`] on [`Executor::Pooled`],
+/// its defense pipeline seeded per trace index and calibrated on the trace.
+/// The per-member matrices of the stations are summed in trace order, so
+/// the outcome does not depend on thread scheduling.
 pub fn evaluate_defense(
     adversary: &AdversaryEnsemble,
     eval_traces: &[Trace],
@@ -334,52 +290,42 @@ pub fn evaluate_defense(
     config: &ExperimentConfig,
     mode: FeatureMode,
 ) -> ConfusionMatrix {
-    let shards = defended_example_shards(eval_traces, defense, config, config.eval_seed, mode);
-    let mut dataset = Dataset::new(FEATURE_DIM);
-    for (features, label) in shards.into_iter().flatten() {
-        dataset.push(features, label);
+    let labelled: Vec<(usize, &Trace, AppKind)> = eval_traces
+        .iter()
+        .enumerate()
+        .filter_map(|(i, trace)| Some((i, trace, trace.app()?)))
+        .collect();
+    let station = |k: usize| {
+        let (i, trace, app) = labelled[k];
+        let seed = config.eval_seed ^ ((i as u64) << 8);
+        let pipeline = defense_pipeline(
+            defense,
+            app,
+            config.interfaces,
+            seed,
+            config.train_session_secs,
+            Some(trace),
+        );
+        StationRun::from_source(app, trace.stream())
+            .phases(vec![(0.0, pipeline)])
+            .window(config.window())
+            .feature_mode(mode)
+    };
+    let stations = Executor::Pooled
+        .run(
+            labelled.len(),
+            station,
+            |_| MemberScorer::new(adversary),
+            |_, _, scorer| scorer.into_results(),
+        )
+        .expect("pre-built phases cannot fail");
+    let mut members = MemberScorer::new(adversary).into_results();
+    for station in &stations.results {
+        for ((_, sum), (_, matrix)) in members.iter_mut().zip(station) {
+            sum.merge(matrix);
+        }
     }
-    if dataset.is_empty() {
-        return ConfusionMatrix::new(AppKind::COUNT);
-    }
-    let (_, matrix) = adversary.evaluate_best(&dataset);
-    // The matrix always covers all seven classes for table printing.
-    matrix.widen_to(AppKind::COUNT)
-}
-
-/// Streams every trace through a defense in parallel (one shard per trace, at
-/// most `available_parallelism` in flight), returning the per-trace example
-/// shards in trace order. The shared body of the batch and online evaluation
-/// modes.
-fn defended_example_shards(
-    eval_traces: &[Trace],
-    defense: DefenseKind,
-    config: &ExperimentConfig,
-    seed_base: u64,
-    mode: FeatureMode,
-) -> Vec<Vec<WindowExample>> {
-    let parallelism = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(8);
-    let mut shards: Vec<Vec<WindowExample>> = Vec::with_capacity(eval_traces.len());
-    for (batch_index, batch) in eval_traces.chunks(parallelism).enumerate() {
-        shards.extend(std::thread::scope(|scope| {
-            let handles: Vec<_> = batch
-                .iter()
-                .enumerate()
-                .map(|(offset, trace)| {
-                    let i = batch_index * parallelism + offset;
-                    let seed = seed_base ^ (i as u64) << 8;
-                    scope.spawn(move || defended_examples(trace, defense, config, seed, mode))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("evaluation shard panicked"))
-                .collect::<Vec<_>>()
-        }));
-    }
-    shards
+    AdversaryEnsemble::best_of(members).1
 }
 
 /// Interleaves per-trace example shards round-robin (first window of every
@@ -455,8 +401,9 @@ pub fn train_adversary_online(
 }
 
 /// Evaluates one defense in **online-adversary mode**: the defended window
-/// examples of all evaluation traces are interleaved round-robin (the order
-/// a live eavesdropper sees windows close across concurrent sessions) and
+/// examples of all evaluation traces ([`defended_examples`], one trace per
+/// task on the work-stealing pool) are interleaved round-robin (the order a
+/// live eavesdropper sees windows close across concurrent sessions) and
 /// scored test-then-train through the evaluator's adversary, which keeps
 /// learning as it scores.
 ///
@@ -472,7 +419,10 @@ pub fn evaluate_defense_online(
     seed_base: u64,
     mode: FeatureMode,
 ) -> OnlineEvaluation {
-    let shards = defended_example_shards(eval_traces, defense, config, seed_base, mode);
+    let shards = pooled(eval_traces.len(), |i| {
+        let seed = seed_base ^ ((i as u64) << 8);
+        defended_examples(&eval_traces[i], defense, config, seed, mode)
+    });
     let stream = interleave_shards(shards);
     let mut matrix = ConfusionMatrix::new(AppKind::COUNT);
     // Start a fresh segment for this phase.
@@ -505,6 +455,7 @@ pub fn run_defense_comparison(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use classifier::dataset::Dataset;
     use classifier::window::windowed_examples;
 
     #[test]
@@ -542,6 +493,48 @@ mod tests {
                 .sum();
             assert_eq!(streamed.len(), batch, "{defense:?} window counts diverge");
             assert!(!streamed.is_empty(), "{defense:?} produced no examples");
+        }
+    }
+
+    #[test]
+    fn evaluate_defense_matches_the_per_packet_reference() {
+        // The station-run evaluation against the per-packet reference
+        // (defended_examples on one thread, one Dataset, evaluate_best) for
+        // every defense kind in both feature modes. An unlabelled trace in
+        // the middle of the slice contributes no window but keeps its index,
+        // so the traces after it keep their seeds.
+        let config = ExperimentConfig::quick();
+        let mut eval = config.evaluation_corpus();
+        let unlabelled = Trace::from_packets(None, eval[0].packets().to_vec());
+        eval.insert(eval.len() / 2, unlabelled.clone());
+        for mode in [FeatureMode::Full, FeatureMode::TimingOnly] {
+            let adversary = train_adversary(&config, mode);
+            for defense in DefenseKind::ALL {
+                let mut dataset = Dataset::new(FEATURE_DIM);
+                for (i, trace) in eval.iter().enumerate() {
+                    let seed = config.eval_seed ^ ((i as u64) << 8);
+                    for (features, label) in defended_examples(trace, defense, &config, seed, mode)
+                    {
+                        dataset.push(features, label);
+                    }
+                }
+                assert!(!dataset.is_empty(), "{defense:?}/{mode:?}: no windows");
+                let (_, reference) = adversary.evaluate_best(&dataset);
+                let got = evaluate_defense(&adversary, &eval, defense, &config, mode);
+                assert_eq!(
+                    got,
+                    reference.widen_to(AppKind::COUNT),
+                    "{defense:?}/{mode:?}"
+                );
+            }
+            let nothing = evaluate_defense(
+                &adversary,
+                std::slice::from_ref(&unlabelled),
+                DefenseKind::Orthogonal,
+                &config,
+                mode,
+            );
+            assert_eq!(nothing, ConfusionMatrix::new(AppKind::COUNT));
         }
     }
 

@@ -31,9 +31,8 @@ pub use run::{
     TrainedAdversary,
 };
 pub use spec::{
-    kind_pipeline, AdversaryMode, AdversarySpec, AlgorithmSpec, CompiledScenario, DefenseSpec,
-    EventKind, EventSpec, Population, Scenario, ScenarioSpec, ScenarioStation, StageSpec,
-    StationGroupSpec,
+    AdversaryMode, AdversarySpec, AlgorithmSpec, CompiledScenario, DefenseSpec, EventKind,
+    EventSpec, Population, Scenario, ScenarioSpec, ScenarioStation, StageSpec, StationGroupSpec,
 };
 
 use serde::Deserialize;

@@ -336,6 +336,21 @@ mod tests {
     }
 
     #[test]
+    fn a_calibration_length_too_short_for_any_packet_is_a_run_error() {
+        // 1 ms is positive and finite, so the spec passes `--check`, but no
+        // session that short holds a packet to calibrate morphing from: the
+        // run must fail with an error naming calib_secs instead of panicking.
+        use crate::scenario::{default_scenarios_dir, load_spec};
+        let mut spec = load_spec(&default_scenarios_dir().join("throughput_baseline.toml"))
+            .expect("committed spec loads");
+        spec.calib_secs = 0.001;
+        let scenario = spec.build().expect("a positive calib_secs validates");
+        let err =
+            run_scenario(&scenario).expect_err("morphing cannot calibrate on 1 ms of traffic");
+        assert!(err.contains("calib_secs"), "{err}");
+    }
+
+    #[test]
     fn scenario_runs_are_deterministic_on_the_pool() {
         let scenario = small_spec().build().expect("valid spec");
         let first = run_scenario(&scenario).expect("runs");

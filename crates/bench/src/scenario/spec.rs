@@ -47,7 +47,6 @@ use serde::{Deserialize, Error, Serialize, Value};
 use std::collections::BTreeMap;
 use traffic_gen::app::AppKind;
 use traffic_gen::spec::{app_from_value, TrafficSpec};
-use traffic_gen::trace::Trace;
 use wlan_sim::time::SimDuration;
 
 /// A reshaping scheduler, as data (Tables II/III's four algorithms).
@@ -291,7 +290,7 @@ impl DefenseSpec {
         let mut pipeline = StagePipeline::new();
         for stage in &self.stages {
             match stage {
-                StageSpec::Defense(d) => pipeline.push_stage(d.build(ctx)),
+                StageSpec::Defense(d) => pipeline.push_stage(d.build(ctx)?),
                 StageSpec::Reshape {
                     algorithm,
                     interfaces: stage_interfaces,
@@ -1152,28 +1151,6 @@ fn derive_group_seed(scenario_seed: u64, group_index: usize) -> u64 {
     scenario_seed
         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
         .wrapping_add(((group_index as u64) + 1) << 16)
-}
-
-/// Reproduces [`crate::pipeline::defense_pipeline`]'s historical signature on
-/// top of the declarative form — the one defended-pipeline constructor both
-/// the enum shorthand and the scenario engine share.
-pub fn kind_pipeline(
-    kind: DefenseKind,
-    app: AppKind,
-    interfaces: usize,
-    seed: u64,
-    calib_secs: f64,
-    source: Option<&Trace>,
-) -> StagePipeline {
-    let ctx = StageContext {
-        app,
-        seed,
-        calib_secs,
-        source,
-    };
-    DefenseSpec::from_kind(kind)
-        .build(&ctx, interfaces)
-        .expect("experiment interface count is valid")
 }
 
 /// The feature mode scenarios evaluate with (the paper's full feature set).

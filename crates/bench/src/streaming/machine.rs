@@ -19,6 +19,7 @@
 //! mutable state, so interleaving cannot leak between them.
 
 use classifier::ensemble::{AdversaryEnsemble, VoteScratch};
+use classifier::metrics::ConfusionMatrix;
 use classifier::online::{PrequentialEvaluator, SegmentStats};
 use classifier::stream::{FlowWindowers, WindowExample};
 use classifier::window::{FeatureMode, DEFAULT_MIN_PACKETS};
@@ -109,6 +110,43 @@ impl WindowScorer for FrozenScorer<'_> {
         }
         self.ensemble
             .predict_majority_slice(&self.rows, dim, out, &mut self.scratch);
+    }
+}
+
+/// A frozen batch ensemble scored **per member**, one confusion matrix per
+/// member at [`AppKind::COUNT`] width: the raw material of the paper's
+/// best-classifier convention ([`AdversaryEnsemble::best_of`]). Reports count
+/// the members' majority vote, as under [`FrozenScorer`].
+#[derive(Debug, Clone)]
+pub struct MemberScorer<'a> {
+    ensemble: &'a AdversaryEnsemble,
+    matrices: Vec<ConfusionMatrix>,
+    scratch: VoteScratch,
+}
+
+impl<'a> MemberScorer<'a> {
+    /// One empty matrix per member of `ensemble`.
+    pub fn new(ensemble: &'a AdversaryEnsemble) -> Self {
+        let matrices = vec![ConfusionMatrix::new(AppKind::COUNT); ensemble.member_names().len()];
+        let scratch = VoteScratch::new();
+        MemberScorer {
+            ensemble,
+            matrices,
+            scratch,
+        }
+    }
+
+    /// The `(member name, confusion matrix)` pairs, in member order.
+    pub fn into_results(self) -> Vec<(&'static str, ConfusionMatrix)> {
+        let names = self.ensemble.member_names();
+        names.into_iter().zip(self.matrices).collect()
+    }
+}
+
+impl WindowScorer for MemberScorer<'_> {
+    fn score(&mut self, example: &WindowExample) -> usize {
+        self.ensemble
+            .record_members(&example.0, example.1, &mut self.matrices, &mut self.scratch)
     }
 }
 

@@ -14,7 +14,8 @@
 //!   source), a defense schedule (initial defense plus any number of
 //!   splices), the eavesdropping window, feature mode and arrival time.
 //! * **Who scores it** — a [`WindowScorer`]: the frozen batch ensemble
-//!   ([`FrozenScorer`]) or a live per-station
+//!   ([`FrozenScorer`]), its members one by one ([`MemberScorer`], the
+//!   paper's tables) or a live per-station
 //!   [`PrequentialEvaluator`](classifier::online::PrequentialEvaluator)
 //!   fork that tests-then-trains and reports per-phase segments.
 //! * **Where it executes** — an [`Executor`]: [`Executor::Pooled`] streams
@@ -37,9 +38,11 @@
 
 mod machine;
 mod run;
-mod vtime;
+pub(crate) mod vtime;
 
-pub use machine::{FrozenScorer, PhaseReport, ScheduledReport, WindowScorer, WINDOW_BATCH};
+pub use machine::{
+    FrozenScorer, MemberScorer, PhaseReport, ScheduledReport, WindowScorer, WINDOW_BATCH,
+};
 pub use run::{StationRun, STATION_CALIB_SECS};
 pub use vtime::{ExecutionOutcome, Executor, ExecutorStats};
 

@@ -50,8 +50,8 @@ use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Mutex;
 use wlan_sim::time::SimDuration;
 
-/// The bounded work-stealing pool shared by the batch and online station
-/// runners (and the scenario engine): at most `available_parallelism`
+/// The bounded work-stealing pool behind [`Executor::Pooled`] and the
+/// online table evaluation's per-trace shards: at most `available_parallelism`
 /// workers steal the next unprocessed index from a shared atomic queue and
 /// run `body` on it. Results come back in index order.
 pub(crate) fn pooled<T: Send>(count: usize, body: impl Fn(usize) -> T + Sync) -> Vec<T> {

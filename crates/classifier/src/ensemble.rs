@@ -102,25 +102,44 @@ impl AdversaryEnsemble {
         self.classifiers.iter().map(|c| c.name()).collect()
     }
 
-    /// Evaluates one member classifier on an evaluation set, returning its
-    /// confusion matrix.
-    fn evaluate_member(&self, member: &dyn Classifier, eval: &Dataset) -> ConfusionMatrix {
-        let mut matrix = ConfusionMatrix::new(self.class_count.max(eval.class_count()));
-        let mut features = Vec::new();
-        for ex in eval.examples() {
-            features.clear();
-            self.normalizer.transform_into(&ex.features, &mut features);
-            matrix.record(ex.label, member.predict(&features));
-        }
-        matrix
-    }
-
     /// Evaluates every member and returns `(name, confusion matrix)` pairs.
     pub fn evaluate_all(&self, eval: &Dataset) -> Vec<(&'static str, ConfusionMatrix)> {
-        self.classifiers
-            .iter()
-            .map(|c| (c.name(), self.evaluate_member(c.as_ref(), eval)))
-            .collect()
+        let classes = self.class_count.max(eval.class_count());
+        let mut matrices = vec![ConfusionMatrix::new(classes); self.classifiers.len()];
+        let mut scratch = VoteScratch::new();
+        for ex in eval.examples() {
+            self.record_members(&ex.features, ex.label, &mut matrices, &mut scratch);
+        }
+        self.member_names().into_iter().zip(matrices).collect()
+    }
+
+    /// Scores one example with every member, recording member `k`'s
+    /// prediction against `label` in `matrices[k]` (the features are
+    /// normalised once), and returns the members' majority vote, which is
+    /// what [`predict_majority`](Self::predict_majority) predicts. The
+    /// per-member accumulation behind [`evaluate_all`](Self::evaluate_all)
+    /// and the streaming per-member scorer.
+    pub fn record_members(
+        &self,
+        features: &[f64],
+        label: usize,
+        matrices: &mut [ConfusionMatrix],
+        scratch: &mut VoteScratch,
+    ) -> usize {
+        assert_eq!(
+            matrices.len(),
+            self.classifiers.len(),
+            "one matrix per member"
+        );
+        scratch.block.clear();
+        self.normalizer.transform_into(features, &mut scratch.block);
+        scratch.v0.clear();
+        for (member, matrix) in self.classifiers.iter().zip(matrices.iter_mut()) {
+            let predicted = member.predict(&scratch.block);
+            matrix.record(label, predicted);
+            scratch.v0.push(predicted);
+        }
+        majority_vote(&scratch.v0, self.class_count)
     }
 
     /// Evaluates the ensemble the way the paper reports results: the member
@@ -436,6 +455,31 @@ mod tests {
                 "members voted {predictions:?}"
             );
         }
+    }
+
+    #[test]
+    fn record_members_scores_each_member_and_returns_the_majority_vote() {
+        let train = blobs(7, 3.0);
+        let test = blobs(8, 3.0);
+        let ensemble = AdversaryEnsemble::train(&train, &EnsembleConfig::default());
+        let mut matrices = vec![ConfusionMatrix::new(3); 3];
+        let mut scratch = VoteScratch::new();
+        let mut expected = vec![ConfusionMatrix::new(3); 3];
+        for ex in test.examples() {
+            let vote = ensemble.record_members(&ex.features, ex.label, &mut matrices, &mut scratch);
+            assert_eq!(vote, ensemble.predict_majority(&ex.features));
+            let normalized = ensemble.normalizer.apply(&ex.features);
+            for (member, matrix) in ensemble.classifiers.iter().zip(&mut expected) {
+                matrix.record(ex.label, member.predict(&normalized));
+            }
+        }
+        assert_eq!(matrices, expected);
+        let all: Vec<ConfusionMatrix> = ensemble
+            .evaluate_all(&test)
+            .into_iter()
+            .map(|(_, m)| m)
+            .collect();
+        assert_eq!(all, expected);
     }
 
     #[test]

@@ -97,9 +97,11 @@ impl DefenseStageSpec {
         }
     }
 
-    /// Constructs the streaming stage this spec describes.
-    pub fn build(&self, ctx: &StageContext<'_>) -> Box<dyn PacketStage> {
-        match self {
+    /// Constructs the streaming stage this spec describes. Fails only for
+    /// morphing, when a session it calibrates from is empty (e.g. a
+    /// `calib_secs` too short for any packet).
+    pub fn build(&self, ctx: &StageContext<'_>) -> Result<Box<dyn PacketStage>, String> {
+        Ok(match self {
             DefenseStageSpec::Padding { size } => {
                 let padder = match size {
                     Some(s) => PacketPadder::to_size(*s),
@@ -107,7 +109,7 @@ impl DefenseStageSpec {
                 };
                 Box::new(padder.stage())
             }
-            DefenseStageSpec::Morphing { target } => Box::new(morphing_stage(target, ctx)),
+            DefenseStageSpec::Morphing { target } => Box::new(morphing_stage(target, ctx)?),
             DefenseStageSpec::Pseudonym { period_secs } => {
                 let rotator = match period_secs {
                     Some(secs) => PseudonymRotator::new(SimDuration::from_secs_f64(*secs)),
@@ -125,7 +127,7 @@ impl DefenseStageSpec {
                 };
                 Box::new(hopper.stage())
             }
-        }
+        })
     }
 }
 
@@ -133,20 +135,30 @@ impl DefenseStageSpec {
 /// comes from a generated session of the morphing target (the paper's pairing
 /// unless overridden), the source CDF from the materialised trace when one is
 /// given or from a generated calibration session otherwise. Seeding matches
-/// the historical hand-coded pipeline exactly.
-fn morphing_stage(target: &Option<AppKind>, ctx: &StageContext<'_>) -> MorphingStage {
+/// the historical hand-coded pipeline exactly. An empty session is an error.
+fn morphing_stage(
+    target: &Option<AppKind>,
+    ctx: &StageContext<'_>,
+) -> Result<MorphingStage, String> {
     let target_app = target.unwrap_or_else(|| paper_morphing_target(ctx.app));
     let target_trace =
         SessionGenerator::new(target_app, ctx.seed ^ 0xfeed).generate_secs(ctx.calib_secs);
-    let morpher = TrafficMorpher::from_target_trace(target_app, &target_trace);
-    match ctx.source {
-        Some(trace) => morpher.stage_for_source_trace(trace),
+    let calib;
+    let source = match ctx.source {
+        Some(trace) => trace,
         None => {
-            let calib =
-                SessionGenerator::new(ctx.app, ctx.seed ^ 0xca1b).generate_secs(ctx.calib_secs);
-            morpher.stage_for_source_trace(&calib)
+            calib = SessionGenerator::new(ctx.app, ctx.seed ^ 0xca1b).generate_secs(ctx.calib_secs);
+            &calib
         }
+    };
+    if target_trace.is_empty() || source.is_empty() {
+        return Err(format!(
+            "morphing {:?}: no packets to calibrate from (calib_secs = {}); raise calib_secs",
+            ctx.app, ctx.calib_secs
+        ));
     }
+    let morpher = TrafficMorpher::from_target_trace(target_app, &target_trace);
+    Ok(morpher.stage_for_source_trace(source))
 }
 
 impl Serialize for DefenseStageSpec {
@@ -250,11 +262,15 @@ mod tests {
     fn padding_spec_builds_the_default_padder() {
         let trace = trace();
         let ctx = StageContext::live(AppKind::BitTorrent, 1, 20.0);
-        let mut stage = DefenseStageSpec::Padding { size: None }.build(&ctx);
+        let mut stage = DefenseStageSpec::Padding { size: None }
+            .build(&ctx)
+            .unwrap();
         let out = stage_trace(stage.as_mut(), &trace);
         assert_eq!(out.len(), trace.len());
         assert!(out.iter().all(|(_, p)| p.size == MAX_PACKET_SIZE));
-        let mut sized = DefenseStageSpec::Padding { size: Some(400) }.build(&ctx);
+        let mut sized = DefenseStageSpec::Padding { size: Some(400) }
+            .build(&ctx)
+            .unwrap();
         let out = stage_trace(sized.as_mut(), &trace);
         assert!(out.iter().all(|(_, p)| p.size >= 400.min(MAX_PACKET_SIZE)));
     }
@@ -271,7 +287,9 @@ mod tests {
             source: Some(&trace),
         };
         // Pseudonym: same seed, same pseudonym draws, same partitions.
-        let mut from_spec = DefenseStageSpec::Pseudonym { period_secs: None }.build(&ctx);
+        let mut from_spec = DefenseStageSpec::Pseudonym { period_secs: None }
+            .build(&ctx)
+            .unwrap();
         let mut direct =
             PseudonymRotator::default().stage_with_rng(StdRng::seed_from_u64(ctx.seed));
         assert_eq!(
@@ -279,7 +297,9 @@ mod tests {
             stage_trace(&mut direct, &trace)
         );
         // Morphing with a materialised source: same seeds, same CDFs.
-        let mut from_spec = DefenseStageSpec::Morphing { target: None }.build(&ctx);
+        let mut from_spec = DefenseStageSpec::Morphing { target: None }
+            .build(&ctx)
+            .unwrap();
         let target_trace =
             SessionGenerator::new(AppKind::Video, ctx.seed ^ 0xfeed).generate_secs(20.0);
         let mut direct = TrafficMorpher::from_target_trace(AppKind::Video, &target_trace)
@@ -295,14 +315,45 @@ mod tests {
         let trace = trace();
         let ctx = StageContext::live(AppKind::BitTorrent, 9, 20.0);
         let mut pipeline = StagePipeline::new();
-        pipeline.push_stage(DefenseStageSpec::Morphing { target: None }.build(&ctx));
-        pipeline.push_stage(DefenseStageSpec::Padding { size: None }.build(&ctx));
+        pipeline.push_stage(
+            DefenseStageSpec::Morphing { target: None }
+                .build(&ctx)
+                .unwrap(),
+        );
+        pipeline.push_stage(
+            DefenseStageSpec::Padding { size: None }
+                .build(&ctx)
+                .unwrap(),
+        );
         let mut out = Vec::new();
         pipeline.run(&mut trace.stream(), |flow, p| out.push((flow, *p)));
         assert_eq!(out.len(), trace.len());
         assert!(out
             .iter()
             .all(|(f, p)| *f == ROOT_FLOW && p.size == MAX_PACKET_SIZE));
+    }
+
+    #[test]
+    fn morphing_with_an_empty_calibration_session_is_an_error() {
+        // A millisecond of traffic holds no packet: the morphing target
+        // cannot be estimated, and the error says which knob to turn.
+        let ctx = StageContext::live(AppKind::Chatting, 3, 0.001);
+        let err = DefenseStageSpec::Morphing { target: None }
+            .build(&ctx)
+            .expect_err("an empty calibration session cannot calibrate morphing");
+        assert!(
+            err.contains("calib_secs") && err.contains("Chatting"),
+            "{err}"
+        );
+        // An empty materialised source trace is rejected too.
+        let empty = Trace::from_packets(Some(AppKind::Chatting), Vec::new());
+        let ctx = StageContext {
+            source: Some(&empty),
+            ..StageContext::live(AppKind::Chatting, 3, 20.0)
+        };
+        assert!(DefenseStageSpec::Morphing { target: None }
+            .build(&ctx)
+            .is_err());
     }
 
     #[test]
