@@ -1,6 +1,6 @@
 # Local targets mirroring the CI jobs so local and CI runs are identical.
 
-.PHONY: verify build test fmt lint scenario-check scenario-json experiments-smoke perfbench-smoke examples ci
+.PHONY: verify build test fmt lint scenario-check scenario-json experiments-smoke perfbench-smoke proptest-soak examples ci
 
 # The tier-1 gate: exactly what the driver and the CI `test` job run.
 verify:
@@ -46,6 +46,13 @@ experiments-smoke:
 # run.
 perfbench-smoke:
 	cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
+# Every proptest at 50x its committed case count, from a fresh seed unless
+# PROPTEST_SEED is given (a failure prints the seed that reproduces it). The
+# non-blocking CI soak job; long, so not part of `make ci`.
+proptest-soak:
+	PROPTEST_CASES=$${PROPTEST_CASES:-50} PROPTEST_SEED=$${PROPTEST_SEED:-$$(date +%s)} \
+		cargo test --workspace --release
 
 examples:
 	cargo build --examples

@@ -123,6 +123,9 @@ pub fn train_for(scenario: &CompiledScenario) -> TrainedAdversary {
 
 /// Either scoring mode behind one scorer type, so a single executor call
 /// covers both adversary modes.
+// The frozen arm is a bare borrow; boxing the live arm would add an
+// allocation per station to the online mode's fork.
+#[allow(clippy::large_enum_variant)]
 enum ScenarioScorer<'a> {
     Frozen(FrozenScorer<'a>),
     Live(PrequentialEvaluator),
@@ -183,13 +186,15 @@ fn station_run(scenario: &CompiledScenario, station: ScenarioStation) -> Station
         .arrival_secs(arrival_secs)
 }
 
-/// Folds a [`ScheduledReport`] into a [`StationResult`].
+/// Folds station `i`'s [`ScheduledReport`] into a [`StationResult`],
+/// materialising the station only when its full outcome is reported.
 fn station_result(
-    station: &ScenarioStation,
+    scenario: &CompiledScenario,
+    i: usize,
     report: &ScheduledReport,
-    detailed: bool,
 ) -> StationResult {
-    let outcome = detailed.then(|| {
+    let outcome = (i < scenario.max_station_reports).then(|| {
+        let station = scenario.station(i);
         let mut labels: Vec<String> = vec![station.defense.label()];
         labels.extend(station.splices.iter().map(|(_, d)| d.label()));
         let phases = report
@@ -235,8 +240,9 @@ pub fn execute_scenario(
     adversary: &TrainedAdversary,
     executor: Executor,
 ) -> Result<(ScenarioReport, ExecutorStats), String> {
-    let outcome = executor.run(
+    let outcome = executor.run_scheduled(
         scenario.station_count(),
+        |i| scenario.arrival_secs(i),
         |i| station_run(scenario, scenario.station(i)),
         |_| match adversary {
             TrainedAdversary::Frozen(ensemble) => {
@@ -250,10 +256,7 @@ pub fn execute_scenario(
                 *snapshot_every,
             )),
         },
-        |i, report, _| {
-            let station = scenario.station(i);
-            station_result(&station, &report, i < scenario.max_station_reports)
-        },
+        |i, report, _| station_result(scenario, i, &report),
     )?;
     let results = outcome.results;
     let packets = results.iter().map(|s| s.packets).sum();

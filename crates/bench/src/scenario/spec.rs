@@ -92,10 +92,10 @@ impl AlgorithmSpec {
         Ok(match self {
             AlgorithmSpec::Random => Box::new(RandomAssign::new(interfaces, seed)),
             AlgorithmSpec::RoundRobin => Box::new(RoundRobin::new(interfaces)),
-            AlgorithmSpec::Orthogonal => Box::new(OrthogonalRanges::new(
-                SizeRanges::for_interface_count(interfaces)
+            AlgorithmSpec::Orthogonal => Box::new(
+                OrthogonalRanges::for_interface_count(interfaces)
                     .map_err(|e| format!("invalid interface count {interfaces}: {e}"))?,
-            )),
+            ),
             AlgorithmSpec::OrthogonalModulo => Box::new(OrthogonalModulo::new(interfaces)),
         })
     }
@@ -744,7 +744,15 @@ impl Deserialize for ScenarioSpec {
                         "max_slice_secs only applies to executor = \"virtual_time\"",
                     ));
                 }
-                executor.with_max_slice(SimDuration::from_secs_f64(secs))
+                // Virtual time ticks in microseconds: a horizon that rounds
+                // to zero would never drain a packet.
+                let max_slice = SimDuration::from_secs_f64(secs);
+                if max_slice.is_zero() {
+                    return Err(Error::custom(format!(
+                        "max_slice_secs = {secs} rounds to 0 µs; the minimum is 1 µs (1e-6)"
+                    )));
+                }
+                executor.with_max_slice(max_slice)
             }
         };
         let max_station_reports = serde::value_get(map, "max_station_reports")
@@ -956,6 +964,12 @@ impl CompiledScenario {
     /// Materialises station `index` (see [`Population::station`]).
     pub fn station(&self, index: usize) -> ScenarioStation {
         self.population.station(index)
+    }
+
+    /// Station `index`'s wall-clock arrival second — `station(index)
+    /// .arrival_secs` without materialising the station.
+    pub(crate) fn arrival_secs(&self, index: usize) -> f64 {
+        self.population.arrival_of(index)
     }
 
     /// Iterates the whole population in station order, materialising each
@@ -1441,6 +1455,35 @@ mod tests {
         let spec = ScenarioSpec::from_value(&good).expect("valid spec");
         assert_eq!(spec.window_secs, 2.0);
         assert_eq!(spec.stations[0].secs, 9.0);
+    }
+
+    #[test]
+    fn a_max_slice_below_one_microsecond_is_rejected() {
+        let spec = |secs: &str| {
+            let doc = format!(
+                "executor = \"virtual_time\"\nmax_slice_secs = {secs}\n[[stations]]\napp = \"bt\""
+            );
+            ScenarioSpec::from_value(&crate::scenario::toml::parse(&doc).expect("well-formed"))
+        };
+        // Virtual time ticks in microseconds, so 0.1 µs would be a zero
+        // horizon that never drains a packet (the run would spin forever).
+        for secs in ["1e-7", "4.9e-7"] {
+            let err = spec(secs)
+                .expect_err("rounds to a zero horizon")
+                .to_string();
+            assert!(
+                err.contains("max_slice_secs") && err.contains("1 µs"),
+                "{secs}: {err}"
+            );
+        }
+        for (secs, micros) in [("1e-6", 1), ("5e-7", 1), ("0.25", 250_000)] {
+            let spec = spec(secs).expect("at least 1 µs after rounding");
+            assert_eq!(
+                spec.executor,
+                Executor::virtual_time().with_max_slice(SimDuration::from_micros(micros)),
+                "{secs}"
+            );
+        }
     }
 
     #[test]

@@ -25,6 +25,7 @@ use classifier::stream::{FlowWindowers, WindowExample};
 use classifier::window::{FeatureMode, DEFAULT_MIN_PACKETS};
 use defenses::overhead::Overhead;
 use defenses::stage::{StageOutput, StagePipeline};
+use std::cell::RefCell;
 use traffic_gen::app::AppKind;
 use traffic_gen::packet::PacketRecord;
 use wlan_sim::time::SimDuration;
@@ -62,25 +63,27 @@ pub trait WindowScorer {
 pub const WINDOW_BATCH: usize = 64;
 
 /// A frozen batch ensemble as a [`WindowScorer`] (majority vote, no
-/// learning). Owns the vote scratch its sliced scoring path reuses across
-/// blocks, so a long session's windows are scored without per-window
-/// allocation.
+/// learning). The scorer is only a borrow: the vote scratch and row buffer
+/// its sliced scoring path fills are per thread ([`FROZEN_SCRATCH`]), so
+/// every station an executor worker scores reuses one set of buffers, and
+/// creating a scorer per station allocates nothing.
 #[derive(Debug, Clone)]
 pub struct FrozenScorer<'a> {
     ensemble: &'a AdversaryEnsemble,
-    scratch: VoteScratch,
-    rows: Vec<f64>,
 }
 
 impl<'a> FrozenScorer<'a> {
     /// Wraps a trained ensemble as a scorer.
     pub fn new(ensemble: &'a AdversaryEnsemble) -> Self {
-        FrozenScorer {
-            ensemble,
-            scratch: VoteScratch::new(),
-            rows: Vec::new(),
-        }
+        FrozenScorer { ensemble }
     }
+}
+
+thread_local! {
+    /// The vote scratch and packed feature rows of every [`FrozenScorer`]
+    /// on this thread. Scoring never re-enters itself, so one set per thread
+    /// suffices; the buffers grow to a block's size once and stay.
+    static FROZEN_SCRATCH: RefCell<(VoteScratch, Vec<f64>)> = RefCell::default();
 }
 
 impl WindowScorer for FrozenScorer<'_> {
@@ -104,12 +107,14 @@ impl WindowScorer for FrozenScorer<'_> {
             );
             return;
         }
-        self.rows.clear();
-        for example in examples {
-            self.rows.extend_from_slice(&example.0);
-        }
-        self.ensemble
-            .predict_majority_slice(&self.rows, dim, out, &mut self.scratch);
+        FROZEN_SCRATCH.with_borrow_mut(|(scratch, rows)| {
+            rows.clear();
+            for example in examples {
+                rows.extend_from_slice(&example.0);
+            }
+            self.ensemble
+                .predict_majority_slice(rows, dim, out, scratch);
+        });
     }
 }
 
@@ -221,9 +226,11 @@ impl ScheduledReport {
 /// [`WindowScorer::score_slice`] and folds the predictions into the phase
 /// counters — the one scoring rule every site of the machine shares. Windows
 /// are scored in exactly their close order, so deferring them into blocks is
-/// bit-identical to scoring each as it closed.
+/// bit-identical to scoring each as it closed. The scored windows' feature
+/// buffers go back to the windower bank for the next windows it closes.
 fn flush_windows(
     scorer: &mut dyn WindowScorer,
+    windowers: &mut FlowWindowers,
     pending: &mut Vec<WindowExample>,
     out: &mut Vec<usize>,
     batch: usize,
@@ -240,20 +247,61 @@ fn flush_windows(
             .filter(|(example, &predicted)| predicted == example.1)
             .count() as u64;
     }
-    pending.clear();
+    windowers.recycle(pending);
 }
 
 /// Reusable staged-output buffers one drain slice fills and the windower
-/// bank consumes. Owned per station-slot by the executors (inside their
-/// [`StationScratch`](super::run::StationScratch)) so routing a slice from
-/// the stage pipeline into [`FlowWindowers::push_slice`] allocates nothing
-/// after warm-up.
+/// bank consumes. Owned per worker by the executors (inside their
+/// [`StationScratch`]) so routing a slice from the stage pipeline into
+/// [`FlowWindowers::push_slice`] allocates nothing after warm-up.
 #[derive(Debug, Default)]
 pub(crate) struct StagedScratch {
     /// Sub-flow of each staged packet, in emission order.
     flows: Vec<usize>,
     /// The staged packets themselves, in emission order.
     packets: Vec<PacketRecord>,
+}
+
+/// A retired machine's growable buffers: its (emptied) phase list, windower
+/// bank, pending-window and prediction buffers. Pooled in [`StationScratch`]
+/// and handed to the next admission, which restarts rather than rebuilds
+/// them.
+#[derive(Debug, Default)]
+pub(crate) struct MachineParts {
+    /// Always empty while pooled; admission pushes the new phases into it.
+    pub(crate) phases: Vec<(f64, StagePipeline)>,
+    windowers: Option<FlowWindowers>,
+    pending: Vec<WindowExample>,
+    slice_out: Vec<usize>,
+}
+
+/// Per-worker recycled allocations: the drain micro-batch, the staged-slice
+/// buffers, and pools of stage scratch buffers and [`MachineParts`] handed
+/// to stations at admission and reclaimed at retirement
+/// ([`StationMachine::finish_with`]). A worker therefore pays each buffer's
+/// growth once, not once per admission. Stations on air at the same time
+/// (a bounded `max_slice`) each hold their own parts; the pools grow to the
+/// worker's peak and no further.
+#[derive(Debug, Default)]
+pub(crate) struct StationScratch {
+    pub(crate) batch: Vec<PacketRecord>,
+    pub(crate) staged: StagedScratch,
+    outputs: Vec<StageOutput>,
+    machines: Vec<MachineParts>,
+}
+
+impl StationScratch {
+    pub(crate) fn new() -> Self {
+        StationScratch {
+            batch: Vec::with_capacity(defenses::stage::STAGE_BATCH),
+            ..StationScratch::default()
+        }
+    }
+
+    /// The parts of a retired machine, or fresh ones.
+    pub(crate) fn take_parts(&mut self) -> MachineParts {
+        self.machines.pop().unwrap_or_default()
+    }
 }
 
 /// Closes the running phase: flushes its pipeline through the windower bank,
@@ -274,8 +322,8 @@ fn close_phase(
             pending.push(example);
         }
     });
-    pending.extend(windowers.finish());
-    flush_windows(scorer, pending, out, batch, windows, hits);
+    windowers.finish_into(pending);
+    flush_windows(scorer, windowers, pending, out, batch, windows, hits);
 }
 
 /// One station's evaluation, driven one packet at a time.
@@ -308,40 +356,49 @@ pub(crate) struct StationMachine {
 
 impl StationMachine {
     /// Creates the machine over a non-empty phase schedule, flushing closed
-    /// windows through the scorer in `window_batch`-sized blocks.
+    /// windows through the scorer in `window_batch`-sized blocks. The
+    /// windower bank and window buffers come from `parts` (restarted, so the
+    /// machine behaves exactly as over fresh ones), and every phase
+    /// pipeline's stage scratch from the `scratch` pool (see
+    /// [`StagePipeline::adopt_scratch`]), so admission skips the growth a
+    /// fresh station's first batches would otherwise pay.
     pub(crate) fn new(
         app: AppKind,
-        phases: Vec<(f64, StagePipeline)>,
+        mut phases: Vec<(f64, StagePipeline)>,
         window: SimDuration,
         mode: FeatureMode,
         window_batch: usize,
+        parts: MachineParts,
+        scratch: &mut StationScratch,
     ) -> Self {
         assert!(!phases.is_empty(), "a schedule needs at least one phase");
+        for (_, pipeline) in &mut phases {
+            let a = scratch.outputs.pop().unwrap_or_default();
+            let b = scratch.outputs.pop().unwrap_or_default();
+            pipeline.adopt_scratch(a, b);
+        }
+        let windowers = match parts.windowers {
+            Some(mut bank) => {
+                bank.restart(window, DEFAULT_MIN_PACKETS, mode, app);
+                bank
+            }
+            None => FlowWindowers::for_app(window, DEFAULT_MIN_PACKETS, mode, app),
+        };
+        debug_assert!(parts.pending.is_empty(), "pooled parts are drained");
         StationMachine {
             app,
             phases,
             index: 0,
             window,
             mode,
-            windowers: FlowWindowers::for_app(window, DEFAULT_MIN_PACKETS, mode, app),
+            windowers,
             reports: Vec::new(),
             windows: 0,
             hits: 0,
             packets: 0,
-            pending: Vec::new(),
-            slice_out: Vec::new(),
+            pending: parts.pending,
+            slice_out: parts.slice_out,
             window_batch: window_batch.max(1),
-        }
-    }
-
-    /// Seeds every phase pipeline's scratch from a pool of recycled buffers
-    /// (see [`StagePipeline::adopt_scratch`]) so admission skips the growth
-    /// a fresh station's first batches would otherwise pay.
-    pub(crate) fn adopt_scratch(&mut self, pool: &mut Vec<StageOutput>) {
-        for (_, pipeline) in &mut self.phases {
-            let a = pool.pop().unwrap_or_default();
-            let b = pool.pop().unwrap_or_default();
-            pipeline.adopt_scratch(a, b);
         }
     }
 
@@ -368,8 +425,8 @@ impl StationMachine {
             });
             self.windows = 0;
             self.hits = 0;
-            self.windowers =
-                FlowWindowers::for_app(self.window, DEFAULT_MIN_PACKETS, self.mode, self.app);
+            self.windowers
+                .restart(self.window, DEFAULT_MIN_PACKETS, self.mode, self.app);
             self.index += 1;
         }
     }
@@ -418,6 +475,7 @@ impl StationMachine {
             if self.pending.len() >= self.window_batch {
                 flush_windows(
                     scorer,
+                    &mut self.windowers,
                     &mut self.pending,
                     &mut self.slice_out,
                     self.window_batch,
@@ -430,17 +488,13 @@ impl StationMachine {
     }
 
     /// Session end: closes the running phase, reports any phase scheduled
-    /// past the end as empty, and returns the station's report.
-    pub(crate) fn finish(self, scorer: &mut dyn WindowScorer) -> ScheduledReport {
-        self.finish_with(scorer, None)
-    }
-
-    /// [`finish`](Self::finish), optionally reclaiming every phase
-    /// pipeline's scratch buffers into `reclaim` for the next admission.
+    /// past the end as empty, and returns the station's report. Every phase
+    /// pipeline's stage scratch and the machine's own buffers go back to
+    /// `scratch` for the next admission.
     pub(crate) fn finish_with(
         mut self,
         scorer: &mut dyn WindowScorer,
-        mut reclaim: Option<&mut Vec<StageOutput>>,
+        scratch: &mut StationScratch,
     ) -> ScheduledReport {
         close_phase(
             &mut self.phases[self.index].1,
@@ -460,7 +514,7 @@ impl StationMachine {
             segment: scorer.end_phase(),
         });
         let index = self.index;
-        for (i, (from_secs, mut pipeline)) in self.phases.into_iter().enumerate() {
+        for (i, (from_secs, mut pipeline)) in self.phases.drain(..).enumerate() {
             if i > index {
                 self.reports.push(PhaseReport {
                     from_secs,
@@ -470,14 +524,18 @@ impl StationMachine {
                     segment: scorer.end_phase(),
                 });
             }
-            if let Some(pool) = reclaim.as_deref_mut() {
-                let (mut a, mut b) = pipeline.release_scratch();
-                a.clear();
-                b.clear();
-                pool.push(a);
-                pool.push(b);
-            }
+            let (mut a, mut b) = pipeline.release_scratch();
+            a.clear();
+            b.clear();
+            scratch.outputs.push(a);
+            scratch.outputs.push(b);
         }
+        scratch.machines.push(MachineParts {
+            phases: self.phases,
+            windowers: Some(self.windowers),
+            pending: self.pending,
+            slice_out: self.slice_out,
+        });
         ScheduledReport {
             app: self.app,
             packets: self.packets,

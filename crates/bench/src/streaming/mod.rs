@@ -429,6 +429,28 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_max_slice_is_an_error_not_a_spin() {
+        // A zero horizon drains nothing and its resume event re-enters the
+        // heap at the same time forever; the executor refuses it up front
+        // (no scorer is ever created, so an untrained adversary will do).
+        let untrained = OnlineAdversary::new(
+            classifier::features::FEATURE_DIM,
+            AppKind::COUNT,
+            &classifier::ensemble::EnsembleConfig::default(),
+        );
+        let err = Executor::virtual_time()
+            .with_max_slice(SimDuration::ZERO)
+            .run(
+                2,
+                |i| station(AppKind::Chatting, i as u64, DefenseKind::None, 3, 10.0),
+                |_| PrequentialEvaluator::new(untrained.clone(), 1),
+                |_, report, _| report,
+            )
+            .expect_err("a zero horizon never makes progress");
+        assert!(err.contains("max_slice") && err.contains("1 µs"), "{err}");
+    }
+
+    #[test]
     fn splice_after_session_end_never_fires() {
         // Edge case: the splice time is past the session end, so the defended
         // phase reports zero windows and the run equals an undefended one.

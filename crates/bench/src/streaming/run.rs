@@ -22,7 +22,7 @@
 //!     .expect("valid defense stages");
 //! ```
 
-use super::machine::{ScheduledReport, StagedScratch, StationMachine, WindowScorer, WINDOW_BATCH};
+use super::machine::{ScheduledReport, StationMachine, StationScratch, WindowScorer, WINDOW_BATCH};
 use crate::scenario::spec::DefenseSpec;
 use classifier::window::FeatureMode;
 use defenses::spec::StageContext;
@@ -30,7 +30,7 @@ use defenses::stage::{StagePipeline, STAGE_BATCH};
 use traffic_gen::app::AppKind;
 use traffic_gen::packet::PacketRecord;
 use traffic_gen::spec::TrafficSpec;
-use traffic_gen::stream::{PacketSource, PeekableSource};
+use traffic_gen::stream::{PacketSource, PeekableSource, StreamingSession};
 use wlan_sim::time::SimDuration;
 
 /// Session length of the calibration traces generated for morphing stations
@@ -216,15 +216,18 @@ impl<'a> StationRun<'a> {
         self.arrival_secs
     }
 
-    /// Admits the station: builds its defense pipelines and packet source.
-    /// This is the moment a station starts holding state — before it, a run
-    /// is just a description.
-    pub(crate) fn admit(self) -> Result<AdmittedStation<'a>, String> {
+    /// Admits the station: builds its defense pipelines and packet source,
+    /// taking its machine's buffers from the worker's `scratch`. This is the
+    /// moment a station starts holding state — before it, a run is just a
+    /// description.
+    pub(crate) fn admit(self, scratch: &mut StationScratch) -> Result<AdmittedStation<'a>, String> {
+        let mut parts = scratch.take_parts();
         let phases = match self.plan {
             PhasePlan::Built(phases) => phases,
             PhasePlan::Spec { initial, splices } => {
                 let ctx = StageContext::live(self.app, self.seed, self.calib_secs);
-                let mut phases = vec![(0.0, initial.build(&ctx, self.interfaces)?)];
+                let mut phases = std::mem::take(&mut parts.phases);
+                phases.push((0.0, initial.build(&ctx, self.interfaces)?));
                 if let Some((index, (at, defense))) = splices
                     .iter()
                     .enumerate()
@@ -245,8 +248,8 @@ impl<'a> StationRun<'a> {
             }
         };
         let source = match self.source {
-            SourceSpec::Traffic(traffic) => Box::new(traffic.build()) as Box<dyn PacketSource + 'a>,
-            SourceSpec::External(source) => source,
+            SourceSpec::Traffic(traffic) => AdmittedSource::Traffic(traffic.build()),
+            SourceSpec::External(source) => AdmittedSource::External(source),
         };
         Ok(AdmittedStation {
             machine: StationMachine::new(
@@ -255,6 +258,8 @@ impl<'a> StationRun<'a> {
                 self.window,
                 self.mode,
                 self.window_batch,
+                parts,
+                scratch,
             ),
             source: PeekableSource::new(source),
             arrival_secs: self.arrival_secs,
@@ -265,30 +270,35 @@ impl<'a> StationRun<'a> {
     /// Fails only if a defense stage cannot be built (e.g. an invalid
     /// interface count for orthogonal reshaping).
     pub fn run(self, scorer: &mut dyn WindowScorer) -> Result<ScheduledReport, String> {
-        let mut station = self.admit()?;
-        station.drain(scorer);
-        Ok(station.finish(scorer))
+        let mut scratch = StationScratch::new();
+        let mut station = self.admit(&mut scratch)?;
+        station.drain_until(None, &mut scratch, scorer);
+        Ok(station.finish_into(scorer, &mut scratch))
     }
 }
 
-/// Per-worker recycled allocations: the drain micro-batch plus a pool of
-/// stage scratch buffers handed to pipelines at admission
-/// ([`AdmittedStation::adopt_scratch`]) and reclaimed at retirement
-/// ([`AdmittedStation::finish_into`]), so high-churn populations pay the
-/// buffer growth once per worker instead of once per admission.
-#[derive(Debug, Default)]
-pub(crate) struct StationScratch {
-    batch: Vec<PacketRecord>,
-    staged: StagedScratch,
-    outputs: Vec<defenses::stage::StageOutput>,
+/// An admitted station's packet source: generated traffic held inline (it
+/// borrows the shared calibrated model, so admission allocates nothing for
+/// it), or the boxed external source.
+// Boxing the session would put an allocation back on every admission.
+#[allow(clippy::large_enum_variant)]
+enum AdmittedSource<'a> {
+    Traffic(StreamingSession<'static>),
+    External(Box<dyn PacketSource + 'a>),
 }
 
-impl StationScratch {
-    pub(crate) fn new() -> Self {
-        StationScratch {
-            batch: Vec::with_capacity(STAGE_BATCH),
-            staged: StagedScratch::default(),
-            outputs: Vec::new(),
+impl PacketSource for AdmittedSource<'_> {
+    fn next_packet(&mut self) -> Option<PacketRecord> {
+        match self {
+            AdmittedSource::Traffic(session) => session.next_packet(),
+            AdmittedSource::External(source) => source.next_packet(),
+        }
+    }
+
+    fn label(&self) -> Option<AppKind> {
+        match self {
+            AdmittedSource::Traffic(session) => session.label(),
+            AdmittedSource::External(source) => source.label(),
         }
     }
 }
@@ -307,7 +317,7 @@ pub(crate) struct DrainRun {
 /// the machine driving both. Only admitted stations hold per-station state.
 pub(crate) struct AdmittedStation<'a> {
     machine: StationMachine,
-    source: PeekableSource<Box<dyn PacketSource + 'a>>,
+    source: PeekableSource<AdmittedSource<'a>>,
     arrival_secs: f64,
 }
 
@@ -317,11 +327,6 @@ impl AdmittedStation<'_> {
     /// virtual-time heap.
     pub(crate) fn next_wall_secs(&mut self) -> Option<f64> {
         self.source.next_time_secs().map(|t| self.arrival_secs + t)
-    }
-
-    /// Seeds the station's phase pipelines with recycled scratch buffers.
-    pub(crate) fn adopt_scratch(&mut self, scratch: &mut StationScratch) {
-        self.machine.adopt_scratch(&mut scratch.outputs);
     }
 
     /// Drains every packet whose wall-clock time is strictly before
@@ -367,25 +372,14 @@ impl AdmittedStation<'_> {
         run
     }
 
-    /// Drains the whole source in [`STAGE_BATCH`]-sized micro-batches — the
-    /// station-at-a-time fast path, byte-identical to stepping per packet.
-    pub(crate) fn drain(&mut self, scorer: &mut dyn WindowScorer) {
-        let mut scratch = StationScratch::new();
-        self.drain_until(None, &mut scratch, scorer);
-    }
-
-    /// Retires the station and returns its report.
-    pub(crate) fn finish(self, scorer: &mut dyn WindowScorer) -> ScheduledReport {
-        self.machine.finish(scorer)
-    }
-
-    /// [`finish`](Self::finish), reclaiming the phase pipelines' scratch
-    /// buffers into the per-worker pool for the next admission.
+    /// Retires the station and returns its report, reclaiming its
+    /// pipelines' scratch and its machine's buffers into the worker's
+    /// `scratch` for the next admission.
     pub(crate) fn finish_into(
         self,
         scorer: &mut dyn WindowScorer,
         scratch: &mut StationScratch,
     ) -> ScheduledReport {
-        self.machine.finish_with(scorer, Some(&mut scratch.outputs))
+        self.machine.finish_with(scorer, scratch)
     }
 }

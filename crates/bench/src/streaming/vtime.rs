@@ -10,8 +10,9 @@
 //! worker drives a **binary event heap keyed on virtual timestamps**. A
 //! station is represented by an *admission event* at its wall-clock arrival
 //! until that event fires — no generator, pipeline or windower state exists
-//! before admission. When a source is exhausted the station retires and
-//! every byte of its state drops. Peak memory is therefore O(active
+//! before admission. When a source is exhausted the station retires: its
+//! per-station state drops and its growable buffers go back to the worker
+//! for the next admission. Peak memory is therefore O(active
 //! stations), not O(population): a million-station day can stream through a
 //! heap that never holds more than the few thousand stations on air at once
 //! (`scenarios/metropolis.toml` is the committed proof).
@@ -42,8 +43,8 @@
 //! 8 workers: each record's timestamp derives from the station alone, never
 //! from scheduling.
 
-use super::machine::{ScheduledReport, WindowScorer};
-use super::run::{StationRun, StationScratch};
+use super::machine::{ScheduledReport, StationScratch, WindowScorer};
+use super::run::{AdmittedStation, StationRun};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
@@ -55,18 +56,31 @@ use wlan_sim::time::SimDuration;
 /// workers steal the next unprocessed index from a shared atomic queue and
 /// run `body` on it. Results come back in index order.
 pub(crate) fn pooled<T: Send>(count: usize, body: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    pooled_with(count, || (), |_, i| body(i))
+}
+
+/// [`pooled`] with per-worker state: each worker builds one `W` with `init`
+/// and hands it to every `body` call it makes.
+fn pooled_with<W, T: Send>(
+    count: usize,
+    init: impl Fn() -> W + Sync,
+    body: impl Fn(&mut W, usize) -> T + Sync,
+) -> Vec<T> {
     let workers = default_parallelism().min(count.max(1));
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, AtomicOrdering::Relaxed);
-                if i >= count {
-                    break;
+            scope.spawn(|| {
+                let mut state = init();
+                loop {
+                    let i = next.fetch_add(1, AtomicOrdering::Relaxed);
+                    if i >= count {
+                        break;
+                    }
+                    let result = body(&mut state, i);
+                    *slots[i].lock().expect("result slot poisoned") = Some(result);
                 }
-                let result = body(i);
-                *slots[i].lock().expect("result slot poisoned") = Some(result);
             });
         }
     });
@@ -104,7 +118,7 @@ pub enum Executor {
         /// exhaustion. Purely a scheduling knob: reports are identical for
         /// every horizon, only the coalescing ratio changes. Must be
         /// positive — a horizon of at least 1 µs guarantees every resume
-        /// event makes progress.
+        /// event makes progress; [`run`](Executor::run) rejects a zero one.
         max_slice: Option<SimDuration>,
     },
 }
@@ -235,6 +249,9 @@ struct Event {
     at_secs: f64,
     station: usize,
     kind: EventKind,
+    /// Where a resuming station waits in its shard's slab (0 otherwise;
+    /// never part of the order — one station has one pending event).
+    slot: u32,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -284,6 +301,11 @@ impl Executor {
     /// Per-station results are identical whichever executor (and worker
     /// count) runs them: stations share no mutable state, and each one sees
     /// exactly its own packets in order.
+    ///
+    /// # Errors
+    ///
+    /// The first failing station's error (lowest index), or an error for a
+    /// zero `max_slice`, under which no event would ever make progress.
     pub fn run<'a, S, T>(
         &self,
         count: usize,
@@ -295,16 +317,39 @@ impl Executor {
         S: WindowScorer,
         T: Send,
     {
+        let run_of = &run_of;
+        self.run_scheduled(count, |i| run_of(i).arrival(), run_of, scorer_of, finish)
+    }
+
+    /// [`run`](Self::run) with station `i`'s arrival second given directly
+    /// by `arrival_of(i)` (it must equal `run_of(i).arrival()`), so the
+    /// virtual-time executor can seed its heaps without describing every
+    /// station.
+    pub(crate) fn run_scheduled<'a, S, T>(
+        &self,
+        count: usize,
+        arrival_of: impl Fn(usize) -> f64 + Sync,
+        run_of: impl Fn(usize) -> StationRun<'a> + Sync,
+        scorer_of: impl Fn(usize) -> S + Sync,
+        finish: impl Fn(usize, ScheduledReport, S) -> T + Sync,
+    ) -> Result<ExecutionOutcome<T>, String>
+    where
+        S: WindowScorer,
+        T: Send,
+    {
         match *self {
             Executor::Pooled => {
-                let results: Result<Vec<(T, u64)>, String> = pooled(count, |i| {
-                    let mut scorer = scorer_of(i);
-                    let report = run_of(i).run(&mut scorer)?;
-                    let packets = report.packets;
-                    Ok((finish(i, report, scorer), packets))
-                })
-                .into_iter()
-                .collect();
+                let results: Result<Vec<(T, u64)>, String> =
+                    pooled_with(count, StationScratch::new, |scratch, i| {
+                        let mut scorer = scorer_of(i);
+                        let mut station = run_of(i).admit(scratch)?;
+                        station.drain_until(None, scratch, &mut scorer);
+                        let report = station.finish_into(&mut scorer, scratch);
+                        let packets = report.packets;
+                        Ok((finish(i, report, scorer), packets))
+                    })
+                    .into_iter()
+                    .collect();
                 let workers = default_parallelism().min(count.max(1));
                 let pairs = results?;
                 let packets = pairs.iter().map(|(_, p)| p).sum();
@@ -320,9 +365,23 @@ impl Executor {
                     },
                 })
             }
+            Executor::VirtualTime {
+                max_slice: Some(SimDuration::ZERO),
+                ..
+            } => Err(
+                "max_slice must be at least 1 µs: a zero horizon never drains a packet".to_string(),
+            ),
             Executor::VirtualTime { workers, max_slice } => {
                 let workers = workers.unwrap_or_else(default_parallelism).max(1);
-                virtual_time(workers, max_slice, count, &run_of, &scorer_of, &finish)
+                virtual_time(
+                    workers,
+                    max_slice,
+                    count,
+                    &arrival_of,
+                    &run_of,
+                    &scorer_of,
+                    &finish,
+                )
             }
         }
     }
@@ -334,6 +393,7 @@ fn virtual_time<'a, S, T>(
     workers: usize,
     max_slice: Option<SimDuration>,
     count: usize,
+    arrival_of: &(impl Fn(usize) -> f64 + Sync),
     run_of: &(impl Fn(usize) -> StationRun<'a> + Sync),
     scorer_of: &(impl Fn(usize) -> S + Sync),
     finish: &(impl Fn(usize, ScheduledReport, S) -> T + Sync),
@@ -354,9 +414,13 @@ where
             let logs = &logs;
             let first_error = &first_error;
             scope.spawn(move || {
-                let result = drive_shard(
-                    worker, workers, max_slice, count, run_of, scorer_of, finish, slots,
-                );
+                let shard = Shard {
+                    worker,
+                    workers,
+                    max_slice_secs: max_slice.map(|d| d.as_secs_f64()),
+                    count,
+                };
+                let result = shard.drive(arrival_of, run_of, scorer_of, finish, slots);
                 match result {
                     Ok(log) => *logs[worker].lock().expect("log poisoned") = log,
                     Err((station, e)) => {
@@ -434,159 +498,134 @@ where
     })
 }
 
-/// Drives one shard's heap to exhaustion. Returns the shard's churn log and
-/// counters, or the lowest-index station whose admission failed.
-#[allow(clippy::too_many_arguments)]
-fn drive_shard<'a, S, T>(
+/// One worker's share of a virtual-time execution: stations `worker`,
+/// `worker + workers`, … of `count`.
+struct Shard {
     worker: usize,
     workers: usize,
-    max_slice: Option<SimDuration>,
+    max_slice_secs: Option<f64>,
     count: usize,
-    run_of: &impl Fn(usize) -> StationRun<'a>,
-    scorer_of: &impl Fn(usize) -> S,
-    finish: &impl Fn(usize, ScheduledReport, S) -> T,
-    slots: &[Mutex<Option<T>>],
-) -> Result<ShardLog, (usize, String)>
-where
-    S: WindowScorer,
-{
-    let max_slice_secs = max_slice.map(|d| d.as_secs_f64());
-    // One live station per entry; station i lives at local slot (i - worker)
-    // / workers. A `None` is 8 bytes of bookkeeping — the O(population)
-    // floor — while the boxed state behind a `Some` is the O(active) part.
-    let shard_len = count.saturating_sub(worker).div_ceil(workers.max(1));
-    let mut live: Vec<Option<Box<LiveStation<'a, S>>>> = Vec::new();
-    live.resize_with(shard_len, || None);
-    let local = |station: usize| (station - worker) / workers;
-    // Seed the heap with one admission event per station of the shard. The
-    // run description is dropped immediately: until admission a station
-    // costs 16 bytes of heap entry, nothing more.
-    let mut heap: BinaryHeap<Event> = BinaryHeap::with_capacity(shard_len);
-    for station in (worker..count).step_by(workers.max(1)) {
-        heap.push(Event {
-            at_secs: run_of(station).arrival(),
-            station,
-            kind: EventKind::Admit,
-        });
-    }
-    let mut scratch = StationScratch::new();
-    let mut log = ShardLog {
-        records: Vec::with_capacity(2 * shard_len),
-        ..ShardLog::default()
-    };
-    while let Some(event) = heap.pop() {
-        log.events_popped += 1;
-        match event.kind {
-            EventKind::Admit => {
-                let mut admitted = run_of(event.station)
-                    .admit()
-                    .map_err(|e| (event.station, e))?;
-                admitted.adopt_scratch(&mut scratch);
-                let station = Box::new(LiveStation {
-                    inner: admitted,
-                    scorer: scorer_of(event.station),
-                });
-                log.records.push(ChurnRecord {
-                    at_secs: event.at_secs,
-                    station: event.station,
-                    delta: 1,
-                });
-                let slot = local(event.station);
-                drain_slice(
-                    event,
-                    station,
-                    max_slice_secs,
-                    &mut heap,
-                    &mut live[slot],
-                    &mut scratch,
-                    finish,
-                    slots,
-                    &mut log,
-                );
-            }
-            EventKind::Resume => {
-                let slot = local(event.station);
-                let station = live[slot].take().expect("resume event for a live station");
-                drain_slice(
-                    event,
-                    station,
-                    max_slice_secs,
-                    &mut heap,
-                    &mut live[slot],
-                    &mut scratch,
-                    finish,
-                    slots,
-                    &mut log,
-                );
-            }
-            EventKind::Retire => log.records.push(ChurnRecord {
-                at_secs: event.at_secs,
-                station: event.station,
-                delta: -1,
-            }),
-        }
-    }
-    Ok(log)
 }
 
 /// A station on air: its admitted machine/source plus its own scorer.
 struct LiveStation<'a, S> {
-    inner: super::run::AdmittedStation<'a>,
+    inner: AdmittedStation<'a>,
     scorer: S,
 }
 
-/// Drains one coalesced slice of `station` starting at `event`: everything
-/// up to `event time + max_slice` (everything, when unbounded), then either
-/// re-enters the heap at the next packet's time or retires on the spot —
-/// finishing the machine, reclaiming its scratch, storing the result, and
-/// pushing a `Retire` event at the last packet's wall time so the departure
-/// is logged in canonical order.
-#[allow(clippy::too_many_arguments)]
-fn drain_slice<'a, S, T>(
-    event: Event,
-    mut station: Box<LiveStation<'a, S>>,
-    max_slice_secs: Option<f64>,
-    heap: &mut BinaryHeap<Event>,
-    slot: &mut Option<Box<LiveStation<'a, S>>>,
-    scratch: &mut StationScratch,
-    finish: &impl Fn(usize, ScheduledReport, S) -> T,
-    slots: &[Mutex<Option<T>>],
-    log: &mut ShardLog,
-) where
-    S: WindowScorer,
-{
-    // A resume event sits at its station's next packet time, so any
-    // positive horizon admits at least that packet: slices always progress.
-    let horizon = max_slice_secs.map(|d| event.at_secs + d);
-    let run = {
-        let LiveStation { inner, scorer } = &mut *station;
-        inner.drain_until(horizon, scratch, scorer)
-    };
-    log.packets += run.packets;
-    match station.inner.next_wall_secs() {
-        Some(at_secs) => {
-            heap.push(Event {
-                at_secs,
-                station: event.station,
-                kind: EventKind::Resume,
-            });
-            *slot = Some(station);
-        }
-        None => {
-            // The source is exhausted: finish now so the station's state
-            // drops immediately, but log the departure via a heap event at
-            // the retirement timestamp (last packet's wall time; arrival
-            // for a station with no packets — exactly the per-packet
-            // executor's timestamps).
-            let LiveStation { inner, mut scorer } = *station;
-            let report = inner.finish_into(&mut scorer, scratch);
+impl Shard {
+    /// Drives the shard's heap to exhaustion. Returns the shard's churn log
+    /// and counters, or the lowest-index station whose admission failed.
+    ///
+    /// Until its admission fires a station is one heap entry, nothing more.
+    /// A station that stops at a `max_slice` horizon waits in a slab slot
+    /// its resume event names; slots (and every per-station buffer, through
+    /// `scratch`) are reused, so the shard's memory follows its peak of
+    /// stations on air, not its population.
+    fn drive<'a, S, T>(
+        &self,
+        arrival_of: &impl Fn(usize) -> f64,
+        run_of: &impl Fn(usize) -> StationRun<'a>,
+        scorer_of: &impl Fn(usize) -> S,
+        finish: &impl Fn(usize, ScheduledReport, S) -> T,
+        slots: &[Mutex<Option<T>>],
+    ) -> Result<ShardLog, (usize, String)>
+    where
+        S: WindowScorer,
+    {
+        let shard_len = self
+            .count
+            .saturating_sub(self.worker)
+            .div_ceil(self.workers.max(1));
+        let mut heap: BinaryHeap<Event> = (self.worker..self.count)
+            .step_by(self.workers.max(1))
+            .map(|station| Event {
+                at_secs: arrival_of(station),
+                station,
+                kind: EventKind::Admit,
+                slot: 0,
+            })
+            .collect();
+        let mut waiting: Vec<Option<LiveStation<'a, S>>> = Vec::new();
+        let mut free: Vec<u32> = Vec::new();
+        let mut scratch = StationScratch::new();
+        let mut log = ShardLog {
+            records: Vec::with_capacity(2 * shard_len),
+            ..ShardLog::default()
+        };
+        while let Some(event) = heap.pop() {
+            log.events_popped += 1;
+            let mut station = match event.kind {
+                EventKind::Admit => {
+                    let inner = run_of(event.station)
+                        .admit(&mut scratch)
+                        .map_err(|e| (event.station, e))?;
+                    log.records.push(ChurnRecord {
+                        at_secs: event.at_secs,
+                        station: event.station,
+                        delta: 1,
+                    });
+                    LiveStation {
+                        inner,
+                        scorer: scorer_of(event.station),
+                    }
+                }
+                EventKind::Resume => {
+                    free.push(event.slot);
+                    waiting[event.slot as usize]
+                        .take()
+                        .expect("resume event for a waiting station")
+                }
+                EventKind::Retire => {
+                    log.records.push(ChurnRecord {
+                        at_secs: event.at_secs,
+                        station: event.station,
+                        delta: -1,
+                    });
+                    continue;
+                }
+            };
+            // Drain one coalesced slice: everything up to `event time +
+            // max_slice` (everything, when unbounded). A resume event sits
+            // at its station's next packet time, so any positive horizon
+            // admits at least that packet: slices always progress.
+            let horizon = self.max_slice_secs.map(|d| event.at_secs + d);
+            let run = station
+                .inner
+                .drain_until(horizon, &mut scratch, &mut station.scorer);
+            log.packets += run.packets;
+            if let Some(at_secs) = station.inner.next_wall_secs() {
+                // Packets left: wait in a slab slot until the next one.
+                let slot = free.pop().unwrap_or_else(|| {
+                    waiting.push(None);
+                    u32::try_from(waiting.len() - 1).expect("fewer than 2^32 stations on air")
+                });
+                waiting[slot as usize] = Some(station);
+                heap.push(Event {
+                    at_secs,
+                    station: event.station,
+                    kind: EventKind::Resume,
+                    slot,
+                });
+                continue;
+            }
+            // The source is exhausted: finish now, so the station's buffers
+            // go back to `scratch` for the next admission, but log the
+            // departure through a heap event at the retirement timestamp
+            // (the last packet's wall time; arrival for a station with no
+            // packets — exactly the per-packet executor's timestamps), so
+            // it lands in canonical order.
+            let LiveStation { inner, mut scorer } = station;
+            let report = inner.finish_into(&mut scorer, &mut scratch);
             *slots[event.station].lock().expect("result slot poisoned") =
                 Some(finish(event.station, report, scorer));
             heap.push(Event {
                 at_secs: run.last_secs.unwrap_or(event.at_secs),
                 station: event.station,
                 kind: EventKind::Retire,
+                slot: 0,
             });
         }
+        Ok(log)
     }
 }

@@ -7,7 +7,6 @@ use defenses::morphing::{paper_morphing_target, TrafficMorpher};
 use defenses::overhead::Overhead;
 use defenses::padding::PacketPadder;
 use reshape_core::combined::CombinedDefense;
-use reshape_core::ranges::SizeRanges;
 use reshape_core::reshaper::Reshaper;
 use reshape_core::scheduler::OrthogonalRanges;
 use reshape_core::vif::VifIndex;
@@ -48,9 +47,10 @@ pub fn table1(config: &ExperimentConfig) -> Vec<FeatureRow> {
                 Some(app),
                 trace.packets_in(Direction::Downlink).copied().collect(),
             );
-            let mut reshaper = Reshaper::new(Box::new(OrthogonalRanges::new(
-                SizeRanges::for_interface_count(config.interfaces).expect("valid interface count"),
-            )));
+            let mut reshaper = Reshaper::new(Box::new(
+                OrthogonalRanges::for_interface_count(config.interfaces)
+                    .expect("valid interface count"),
+            ));
             let outcome = reshaper.reshape(&downlink);
             let stats = |t: &Trace| {
                 (
@@ -377,9 +377,9 @@ pub fn combined_defense(config: &ExperimentConfig) -> CombinedResult {
     for trace in &eval {
         let morpher = TrafficMorpher::from_target_trace(AppKind::Gaming, &gaming);
         let mut defense = CombinedDefense::new(
-            Box::new(OrthogonalRanges::new(
-                SizeRanges::for_interface_count(config.interfaces).expect("valid count"),
-            )),
+            Box::new(
+                OrthogonalRanges::for_interface_count(config.interfaces).expect("valid count"),
+            ),
             vec![(VifIndex::new(0), morpher)],
         );
         let outcome = defense.apply(trace);

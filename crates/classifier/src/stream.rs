@@ -360,6 +360,22 @@ impl StreamingWindower {
         Self::new(window, min_packets, mode, app.class_index())
     }
 
+    /// Returns the windower to the state [`new`](Self::new) builds,
+    /// keeping its sample buffers.
+    fn restart(
+        &mut self,
+        window: SimDuration,
+        min_packets: usize,
+        mode: FeatureMode,
+        label: usize,
+    ) {
+        let scratch = std::mem::take(&mut self.scratch);
+        *self = StreamingWindower {
+            scratch,
+            ..StreamingWindower::new(window, min_packets, mode, label)
+        };
+    }
+
     /// Number of packets folded into the currently open window.
     pub fn open_window_len(&self) -> usize {
         self.packets_in_window
@@ -371,6 +387,16 @@ impl StreamingWindower {
     /// Packets must arrive in non-decreasing timestamp order — the order
     /// every [`PacketSource`] guarantees.
     pub fn push(&mut self, packet: &PacketRecord) -> Option<WindowExample> {
+        self.push_with(packet, &mut Vec::new())
+    }
+
+    /// [`push`](Self::push), taking the closed window's feature buffer from
+    /// `spare` when it holds one.
+    fn push_with(
+        &mut self,
+        packet: &PacketRecord,
+        spare: &mut Vec<Vec<f64>>,
+    ) -> Option<WindowExample> {
         if self.window.is_zero() {
             return None;
         }
@@ -382,7 +408,7 @@ impl StreamingWindower {
         let emitted = if since >= self.next_boundary_micros {
             let index = since / self.window_micros;
             let closed = if self.packets_in_window > 0 {
-                self.close_window()
+                self.close_window(spare)
             } else {
                 None
             };
@@ -412,6 +438,17 @@ impl StreamingWindower {
     /// folded through the run-folding accumulators — the per-sample float
     /// operations and their order are exactly the per-packet path's.
     pub fn push_slice(&mut self, packets: &[PacketRecord], out: &mut Vec<WindowExample>) {
+        self.push_slice_with(packets, out, &mut Vec::new());
+    }
+
+    /// [`push_slice`](Self::push_slice), taking closed windows' feature
+    /// buffers from `spare` while it holds any.
+    fn push_slice_with(
+        &mut self,
+        packets: &[PacketRecord],
+        out: &mut Vec<WindowExample>,
+        spare: &mut Vec<Vec<f64>>,
+    ) {
         if self.window.is_zero() || packets.is_empty() {
             return;
         }
@@ -429,7 +466,7 @@ impl StreamingWindower {
                 let since = rest[0].time.saturating_since(origin).as_micros();
                 let index = since / self.window_micros;
                 if self.packets_in_window > 0 {
-                    if let Some(example) = self.close_window() {
+                    if let Some(example) = self.close_window(spare) {
                         out.push(example);
                     }
                 }
@@ -535,20 +572,31 @@ impl StreamingWindower {
 
     /// Closes the trailing window at end of stream, if populated.
     pub fn finish(&mut self) -> Option<WindowExample> {
+        self.finish_with(&mut Vec::new())
+    }
+
+    /// [`finish`](Self::finish), taking the feature buffer from `spare`
+    /// when it holds one.
+    fn finish_with(&mut self, spare: &mut Vec<Vec<f64>>) -> Option<WindowExample> {
         if self.window.is_zero() || self.packets_in_window == 0 {
             return None;
         }
-        self.close_window()
+        self.close_window(spare)
     }
 
-    fn close_window(&mut self) -> Option<WindowExample> {
+    /// Closes the open window; a populated one's features are written into
+    /// a buffer from `spare` (emptied when it was recycled) or a new one.
+    fn close_window(&mut self, spare: &mut Vec<Vec<f64>>) -> Option<WindowExample> {
         let packets = std::mem::take(&mut self.packets_in_window);
         let down = std::mem::take(&mut self.down);
         let up = std::mem::take(&mut self.up);
         if packets < self.min_packets {
             return None;
         }
-        let mut values = Vec::with_capacity(FEATURE_DIM);
+        let mut values = spare
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(FEATURE_DIM));
+        debug_assert!(values.is_empty(), "recycled buffers are emptied");
         match self.mode {
             FeatureMode::Full => {
                 down.write_features(&mut values);
@@ -574,13 +622,22 @@ impl StreamingWindower {
 ///
 /// Windowers are allocated the first time a sub-flow index appears, all with
 /// the same window/label configuration; each holds O(1) state.
+/// [`restart`](Self::restart) empties the bank for a new stream but keeps
+/// its windowers' buffers, so a bank reused across stations stops allocating
+/// once it has seen the widest station.
 #[derive(Debug, Clone)]
 pub struct FlowWindowers {
     window: SimDuration,
     min_packets: usize,
     mode: FeatureMode,
     label: usize,
+    /// Windowers of the current stream's sub-flows (the first `active`),
+    /// followed by spares kept from earlier streams.
     windowers: Vec<StreamingWindower>,
+    active: usize,
+    /// Emptied feature buffers of examples handed back through
+    /// [`recycle`](Self::recycle), reused by the next windows that close.
+    spare: Vec<Vec<f64>>,
 }
 
 impl FlowWindowers {
@@ -598,19 +655,49 @@ impl FlowWindowers {
             mode,
             label: app.class_index(),
             windowers: Vec::new(),
+            active: 0,
+            spare: Vec::new(),
         }
+    }
+
+    /// Takes back consumed examples (draining `examples`), keeping their
+    /// feature buffers for the next windows this bank closes — so a bank
+    /// whose examples are scored and handed back closes windows without
+    /// allocating.
+    pub fn recycle(&mut self, examples: &mut Vec<WindowExample>) {
+        self.spare.extend(examples.drain(..).map(|(mut values, _)| {
+            values.clear();
+            values
+        }));
+    }
+
+    /// Empties the bank for a new stream with the given configuration —
+    /// exactly the state [`for_app`](Self::for_app) builds — while keeping
+    /// every windower's buffers for reuse.
+    pub fn restart(
+        &mut self,
+        window: SimDuration,
+        min_packets: usize,
+        mode: FeatureMode,
+        app: AppKind,
+    ) {
+        self.window = window;
+        self.min_packets = min_packets;
+        self.mode = mode;
+        self.label = app.class_index();
+        self.active = 0;
     }
 
     /// Number of sub-flows seen so far.
     pub fn flow_count(&self) -> usize {
-        self.windowers.len()
+        self.active
     }
 
     /// Folds one packet of sub-flow `flow` in; returns a finished example
     /// when this packet closes that sub-flow's previous window.
     pub fn push(&mut self, flow: usize, packet: &PacketRecord) -> Option<WindowExample> {
         self.ensure(flow);
-        self.windowers[flow].push(packet)
+        self.windowers[flow].push_with(packet, &mut self.spare)
     }
 
     /// Folds a staged slice in — `flows[i]` is the sub-flow of `packets[i]`
@@ -645,7 +732,11 @@ impl FlowWindowers {
                 .position(|&f| f != flow)
                 .unwrap_or(flows.len() - start);
             self.ensure(flow);
-            self.windowers[flow].push_slice(&packets[start..start + len], out);
+            self.windowers[flow].push_slice_with(
+                &packets[start..start + len],
+                out,
+                &mut self.spare,
+            );
             start += len;
         }
     }
@@ -660,27 +751,45 @@ impl FlowWindowers {
         out: &mut Vec<WindowExample>,
     ) {
         self.ensure(flow);
-        self.windowers[flow].push_slice(packets, out);
+        self.windowers[flow].push_slice_with(packets, out, &mut self.spare);
     }
 
     /// Grows the bank so sub-flow `flow` exists (first-appearance allocation
-    /// order, like the historical grow-loop).
+    /// order, like the historical grow-loop), restarting spare windowers
+    /// before building new ones.
     fn ensure(&mut self, flow: usize) {
-        if self.windowers.len() <= flow {
+        if self.active <= flow {
             let (window, min_packets, mode, label) =
                 (self.window, self.min_packets, self.mode, self.label);
-            self.windowers.resize_with(flow + 1, || {
-                StreamingWindower::new(window, min_packets, mode, label)
-            });
+            let spares = self.windowers.len().min(flow + 1);
+            for windower in &mut self.windowers[self.active..spares] {
+                windower.restart(window, min_packets, mode, label);
+            }
+            if self.windowers.len() <= flow {
+                self.windowers.resize_with(flow + 1, || {
+                    StreamingWindower::new(window, min_packets, mode, label)
+                });
+            }
+            self.active = flow + 1;
         }
     }
 
     /// Closes every sub-flow's trailing window, returning the populated ones.
     pub fn finish(&mut self) -> Vec<WindowExample> {
-        self.windowers
-            .iter_mut()
-            .filter_map(StreamingWindower::finish)
-            .collect()
+        let mut out = Vec::new();
+        self.finish_into(&mut out);
+        out
+    }
+
+    /// [`finish`](Self::finish), appending the populated trailing windows to
+    /// `out` instead of a new vector.
+    pub fn finish_into(&mut self, out: &mut Vec<WindowExample>) {
+        let spare = &mut self.spare;
+        out.extend(
+            self.windowers[..self.active]
+                .iter_mut()
+                .filter_map(|windower| windower.finish_with(spare)),
+        );
     }
 }
 
@@ -791,6 +900,49 @@ mod tests {
                 assert_examples_equivalent(&streamed, &batch);
             }
         }
+    }
+
+    /// A trace's packets spread over `flows` sub-flows by index.
+    fn spread(trace: &Trace, flows: usize) -> Vec<usize> {
+        (0..trace.len()).map(|i| (i * 7 + i / 3) % flows).collect()
+    }
+
+    /// Every example a bank emits for `trace` spread over `flows` sub-flows.
+    fn bank_examples(bank: &mut FlowWindowers, trace: &Trace, flows: usize) -> Vec<WindowExample> {
+        let mut out = Vec::new();
+        bank.push_slice(&spread(trace, flows), trace.packets(), &mut out);
+        bank.finish_into(&mut out);
+        out
+    }
+
+    #[test]
+    fn a_restarted_bank_matches_a_fresh_one() {
+        let window = SimDuration::from_secs(5);
+        let wide = SessionGenerator::new(AppKind::BitTorrent, 3).generate_secs(40.0);
+        let narrow = SessionGenerator::new(AppKind::Gaming, 4).generate_secs(40.0);
+        let mut bank = FlowWindowers::for_app(window, 2, FeatureMode::Full, AppKind::BitTorrent);
+        let mut consumed = bank_examples(&mut bank, &wide, 5);
+        assert_eq!(bank.flow_count(), 5);
+        bank.recycle(&mut consumed);
+        assert!(consumed.is_empty());
+        // Fewer sub-flows than the spares, then more, then a mode change:
+        // each restart must reproduce a fresh bank bit for bit, writing its
+        // features into the recycled buffers.
+        for (trace, flows, mode) in [
+            (&narrow, 2, FeatureMode::Full),
+            (&wide, 7, FeatureMode::Full),
+            (&narrow, 3, FeatureMode::TimingOnly),
+        ] {
+            let app = trace.app().expect("generated traces are labelled");
+            bank.restart(window, 2, mode, app);
+            assert_eq!(bank.flow_count(), 0);
+            let mut fresh = FlowWindowers::for_app(window, 2, mode, app);
+            let mut examples = bank_examples(&mut bank, trace, flows);
+            assert_eq!(examples, bank_examples(&mut fresh, trace, flows));
+            assert_eq!(bank.flow_count(), fresh.flow_count());
+            bank.recycle(&mut examples);
+        }
+        assert_eq!(bank.finish(), Vec::new(), "finishing twice emits nothing");
     }
 
     #[test]

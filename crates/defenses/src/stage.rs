@@ -96,17 +96,24 @@ pub trait PacketStage: std::fmt::Debug + Send {
 /// partition allocates the next id (so ids are assigned in first-appearance
 /// order, which is what makes streaming and batch partitioning byte-identical
 /// per seed), later packets reuse it.
+///
+/// Consecutive packets of one incoming flow almost always share a key (a
+/// pseudonym epoch, a hop dwell), so each incoming flow remembers its last
+/// `(key, id)` and answers a repeat without hashing.
 #[derive(Debug, Clone, Default)]
-pub struct FlowMap<K: Eq + std::hash::Hash> {
+pub struct FlowMap<K: Eq + std::hash::Hash + Clone> {
     ids: HashMap<(FlowId, K), FlowId>,
+    /// The last `(key, id)` answered for each incoming flow, by flow id.
+    last: Vec<Option<(K, FlowId)>>,
     next: FlowId,
 }
 
-impl<K: Eq + std::hash::Hash> FlowMap<K> {
+impl<K: Eq + std::hash::Hash + Clone> FlowMap<K> {
     /// Creates an empty map.
     pub fn new() -> Self {
         FlowMap {
             ids: HashMap::new(),
+            last: Vec::new(),
             next: 0,
         }
     }
@@ -114,7 +121,13 @@ impl<K: Eq + std::hash::Hash> FlowMap<K> {
     /// Returns the output flow for `(flow, key)`, allocating the next dense id
     /// on first sight. The boolean is `true` exactly when the id is new.
     pub fn id_of(&mut self, flow: FlowId, key: K) -> (FlowId, bool) {
-        match self.ids.entry((flow, key)) {
+        let slot = flow as usize;
+        if let Some(Some((last, id))) = self.last.get(slot) {
+            if *last == key {
+                return (*id, false);
+            }
+        }
+        let answer = match self.ids.entry((flow, key.clone())) {
             std::collections::hash_map::Entry::Occupied(e) => (*e.get(), false),
             std::collections::hash_map::Entry::Vacant(e) => {
                 let id = self.next;
@@ -122,7 +135,12 @@ impl<K: Eq + std::hash::Hash> FlowMap<K> {
                 e.insert(id);
                 (id, true)
             }
+        };
+        if self.last.len() <= slot {
+            self.last.resize(slot + 1, None);
         }
+        self.last[slot] = Some((key, answer.0));
+        answer
     }
 
     /// Number of output flows allocated so far.
@@ -138,6 +156,7 @@ impl<K: Eq + std::hash::Hash> FlowMap<K> {
     /// Forgets all allocations.
     pub fn reset(&mut self) {
         self.ids.clear();
+        self.last.clear();
         self.next = 0;
     }
 }
@@ -507,6 +526,39 @@ mod tests {
         assert_eq!(map.len(), 3);
         map.reset();
         assert_eq!(map.id_of(0, 3), (0, true));
+    }
+
+    #[test]
+    fn flow_map_memo_agrees_with_the_map() {
+        // Interleaved incoming flows revisiting earlier keys — the pattern
+        // of frequency hopping cycling through its channels — must get
+        // exactly the ids a memo-free map assigns.
+        let mut map: FlowMap<usize> = FlowMap::new();
+        let mut reference: HashMap<(FlowId, usize), FlowId> = HashMap::new();
+        let mut x = 17u64;
+        for step in 0..2_000usize {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let flow = (x >> 33) as FlowId % 4;
+            // Runs of repeats (the memo's hits) broken by channel cycling.
+            let key = (step / 3 + flow as usize) % 11;
+            let next = reference.len() as FlowId;
+            let want = match reference.get(&(flow, key)) {
+                Some(&id) => (id, false),
+                None => {
+                    reference.insert((flow, key), next);
+                    (next, true)
+                }
+            };
+            assert_eq!(
+                map.id_of(flow, key),
+                want,
+                "step {step}: flow {flow}, key {key}"
+            );
+        }
+        assert_eq!(map.len(), reference.len());
+        map.reset();
+        assert_eq!(map.id_of(3, 5), (0, true), "reset forgets the memo too");
+        assert_eq!(map.id_of(3, 5), (0, false));
     }
 
     #[test]

@@ -98,9 +98,9 @@ impl SubFlowSink for SubTraceCollector {
 #[derive(Debug)]
 pub struct OnlineReshaper {
     algorithm: Box<dyn ReshapeAlgorithm>,
-    tracking_ranges: SizeRanges,
+    /// Per-interface, per-range packet counts (the per-interface packet
+    /// counters are its row sums).
     realized: RealizedDistributions,
-    per_vif_packets: Vec<u64>,
     per_vif_bytes: Vec<u64>,
 }
 
@@ -114,25 +114,12 @@ impl OnlineReshaper {
     /// Creates an online reshaper tracking realized distributions over custom
     /// ranges.
     pub fn with_tracking_ranges(algorithm: Box<dyn ReshapeAlgorithm>, ranges: SizeRanges) -> Self {
-        let mut reshaper = OnlineReshaper {
+        let interfaces = algorithm.interface_count();
+        OnlineReshaper {
             algorithm,
-            realized: RealizedDistributions::new(0, ranges.clone()),
-            tracking_ranges: ranges,
-            per_vif_packets: Vec::new(),
-            per_vif_bytes: Vec::new(),
-        };
-        reshaper.clear_streaming_state();
-        reshaper
-    }
-
-    /// Rebuilds the per-stream state (realized distributions and per-interface
-    /// counters) for the algorithm's current interface count — the one place
-    /// both construction and [`reset`](Self::reset) get it from.
-    fn clear_streaming_state(&mut self) {
-        let interfaces = self.algorithm.interface_count();
-        self.realized = RealizedDistributions::new(interfaces, self.tracking_ranges.clone());
-        self.per_vif_packets = vec![0; interfaces];
-        self.per_vif_bytes = vec![0; interfaces];
+            realized: RealizedDistributions::new(interfaces, ranges),
+            per_vif_bytes: vec![0; interfaces],
+        }
     }
 
     /// The number of virtual interfaces of the underlying algorithm.
@@ -154,12 +141,11 @@ impl OnlineReshaper {
         let vif = self.algorithm.assign(packet);
         let i = vif.index();
         assert!(
-            i < self.per_vif_packets.len(),
+            i < self.per_vif_bytes.len(),
             "algorithm {} returned out-of-range {vif}",
             self.algorithm.name()
         );
         self.realized.record(vif, packet.size);
-        self.per_vif_packets[i] += 1;
         self.per_vif_bytes[i] += packet.size as u64;
         vif
     }
@@ -198,7 +184,7 @@ impl OnlineReshaper {
 
     /// Total packets assigned since the last reset.
     pub fn packets_seen(&self) -> u64 {
-        self.per_vif_packets.iter().sum()
+        self.realized.total_packets()
     }
 
     /// Total bytes assigned since the last reset (equals the bytes that went
@@ -209,7 +195,7 @@ impl OnlineReshaper {
 
     /// Packets assigned to one interface.
     pub fn packets_on(&self, vif: VifIndex) -> u64 {
-        self.per_vif_packets[vif.index()]
+        self.realized.packets_on(vif)
     }
 
     /// Bytes assigned to one interface.
@@ -221,7 +207,8 @@ impl OnlineReshaper {
     /// engine can be reused on a fresh stream.
     pub fn reset(&mut self) {
         self.algorithm.reset();
-        self.clear_streaming_state();
+        self.realized.clear();
+        self.per_vif_bytes.fill(0);
     }
 }
 

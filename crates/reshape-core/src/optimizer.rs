@@ -18,17 +18,31 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RealizedDistributions {
     ranges: SizeRanges,
-    /// `counts[interface][range]`.
-    counts: Vec<Vec<u64>>,
+    interfaces: usize,
+    /// `counts[interface * L + range]`, one row of `L` counters per
+    /// interface.
+    counts: Vec<u64>,
 }
 
 impl RealizedDistributions {
     /// Creates an empty tracker for `interfaces` interfaces.
     pub fn new(interfaces: usize, ranges: SizeRanges) -> Self {
         RealizedDistributions {
-            counts: vec![vec![0; ranges.len()]; interfaces],
+            counts: vec![0; interfaces * ranges.len()],
+            interfaces,
             ranges,
         }
+    }
+
+    /// Zeroes every counter in place (same state as a fresh tracker).
+    pub(crate) fn clear(&mut self) {
+        self.counts.fill(0);
+    }
+
+    /// Interface `vif`'s per-range counters.
+    fn row(&self, vif: VifIndex) -> &[u64] {
+        let l = self.ranges.len();
+        &self.counts[vif.index() * l..(vif.index() + 1) * l]
     }
 
     /// The size ranges in use.
@@ -38,7 +52,7 @@ impl RealizedDistributions {
 
     /// Number of interfaces tracked.
     pub fn interface_count(&self) -> usize {
-        self.counts.len()
+        self.interfaces
     }
 
     /// Records that a packet of `size` bytes was scheduled on `vif`.
@@ -47,18 +61,23 @@ impl RealizedDistributions {
     ///
     /// Panics if the interface index is out of range.
     pub fn record(&mut self, vif: VifIndex, size: usize) {
+        assert!(
+            vif.index() < self.interfaces,
+            "{vif} is outside the {} tracked interfaces",
+            self.interfaces
+        );
         let range = self.ranges.range_of(size);
-        self.counts[vif.index()][range] += 1;
+        self.counts[vif.index() * self.ranges.len() + range] += 1;
     }
 
     /// Number of packets scheduled on interface `vif` (the paper's `N(i)`).
     pub fn packets_on(&self, vif: VifIndex) -> u64 {
-        self.counts[vif.index()].iter().sum()
+        self.row(vif).iter().sum()
     }
 
     /// Total packets scheduled across all interfaces (the paper's `N`).
     pub fn total_packets(&self) -> u64 {
-        self.counts.iter().flatten().sum()
+        self.counts.iter().sum()
     }
 
     /// The realized distribution `p^i` of one interface (all zeros when the
@@ -68,7 +87,7 @@ impl RealizedDistributions {
         if total == 0 {
             return vec![0.0; self.ranges.len()];
         }
-        self.counts[vif.index()]
+        self.row(vif)
             .iter()
             .map(|&c| c as f64 / total as f64)
             .collect()
@@ -82,8 +101,9 @@ impl RealizedDistributions {
         if total == 0 {
             return vec![0.0; self.ranges.len()];
         }
-        (0..self.ranges.len())
-            .map(|j| self.counts.iter().map(|row| row[j]).sum::<u64>() as f64 / total as f64)
+        let l = self.ranges.len();
+        (0..l)
+            .map(|j| self.counts.iter().skip(j).step_by(l).sum::<u64>() as f64 / total as f64)
             .collect()
     }
 

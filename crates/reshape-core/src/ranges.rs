@@ -8,14 +8,19 @@
 //! splits, and Fig. 4 uses three equal-width ranges.
 
 use crate::error::{Error, Result};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
+use std::borrow::Cow;
 use traffic_gen::MAX_PACKET_SIZE;
 
 /// A partition of `(0, ℓ_max]` into `L` half-open ranges.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The paper's partitions ([`paper_default`](Self::paper_default),
+/// [`paper_two`](Self::paper_two), [`paper_five`](Self::paper_five)) borrow
+/// static boundary tables, so building or cloning them allocates nothing.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SizeRanges {
     /// Strictly increasing upper boundaries `ℓ_1 < ℓ_2 < … < ℓ_L = ℓ_max`.
-    boundaries: Vec<usize>,
+    boundaries: Cow<'static, [usize]>,
 }
 
 impl SizeRanges {
@@ -39,21 +44,23 @@ impl SizeRanges {
                 "boundaries must be strictly increasing, got {boundaries:?}"
             )));
         }
-        Ok(SizeRanges { boundaries })
+        Ok(SizeRanges {
+            boundaries: Cow::Owned(boundaries),
+        })
     }
 
     /// The paper's default three ranges: `(0, 232]`, `(232, 1540]`, `(1540, 1576]`
     /// (§III-C3 and §IV-B).
     pub fn paper_default() -> Self {
         SizeRanges {
-            boundaries: vec![232, 1540, MAX_PACKET_SIZE],
+            boundaries: Cow::Borrowed(&[232, 1540, MAX_PACKET_SIZE]),
         }
     }
 
     /// The two ranges used for `I = 2` in Table V: `(0, 1500]`, `(1500, 1576]`.
     pub fn paper_two() -> Self {
         SizeRanges {
-            boundaries: vec![1500, MAX_PACKET_SIZE],
+            boundaries: Cow::Borrowed(&[1500, MAX_PACKET_SIZE]),
         }
     }
 
@@ -61,7 +68,7 @@ impl SizeRanges {
     /// `(0, 232]`, `(232, 500]`, `(500, 1000]`, `(1000, 1540]`, `(1540, 1576]`.
     pub fn paper_five() -> Self {
         SizeRanges {
-            boundaries: vec![232, 500, 1000, 1540, MAX_PACKET_SIZE],
+            boundaries: Cow::Borrowed(&[232, 500, 1000, 1540, MAX_PACKET_SIZE]),
         }
     }
 
@@ -158,6 +165,30 @@ impl Default for SizeRanges {
     }
 }
 
+// By hand rather than derived, with the derived shape (`{"boundaries":
+// [...]}`): the boundary table is a `Cow`.
+impl Serialize for SizeRanges {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![(
+            "boundaries".to_string(),
+            self.boundaries.as_ref().to_value(),
+        )])
+    }
+}
+
+impl Deserialize for SizeRanges {
+    fn from_value(v: &Value) -> std::result::Result<Self, serde::Error> {
+        let map = v
+            .as_map()
+            .ok_or_else(|| serde::Error::custom("expected object for struct SizeRanges"))?;
+        let boundaries = serde::value_get(map, "boundaries")
+            .ok_or_else(|| serde::Error::custom("missing field `boundaries` in SizeRanges"))?;
+        Ok(SizeRanges {
+            boundaries: Cow::Owned(Vec::from_value(boundaries)?),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,6 +254,24 @@ mod tests {
         assert!((524..=526).contains(&b0));
         assert!(SizeRanges::equal_width(0, 100).is_err());
         assert!(SizeRanges::equal_width(200, 100).is_err());
+    }
+
+    #[test]
+    fn serialized_ranges_round_trip() {
+        for r in [
+            SizeRanges::paper_default(),
+            SizeRanges::equal_width(4, 1576).unwrap(),
+        ] {
+            let value = r.to_value();
+            assert_eq!(
+                value,
+                Value::Map(vec![(
+                    "boundaries".to_string(),
+                    r.boundaries().to_vec().to_value()
+                )])
+            );
+            assert_eq!(SizeRanges::from_value(&value).unwrap(), r);
+        }
     }
 
     #[test]

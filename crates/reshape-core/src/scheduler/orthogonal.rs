@@ -8,47 +8,86 @@
 //! `(0, 525]`, `(525, 1050]`, `(1050, 1576]`.
 
 use super::ReshapeAlgorithm;
+use crate::error::Result;
 use crate::ranges::SizeRanges;
 use crate::target::TargetSet;
 use crate::vif::VifIndex;
+use std::borrow::Cow;
+use std::sync::OnceLock;
 use traffic_gen::packet::PacketRecord;
 
 /// The OR scheduler over size ranges.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OrthogonalRanges {
+    /// Immutable for the scheduler's life; borrowed from a process-wide
+    /// table by [`for_interface_count`](Self::for_interface_count).
+    tables: Cow<'static, OrTables>,
+    interfaces: usize,
+}
+
+/// Everything OR dispatches by: the ranges, their orthogonal targets and the
+/// `range -> owning interface` lookup.
+#[derive(Debug, Clone, PartialEq)]
+struct OrTables {
     ranges: SizeRanges,
     targets: TargetSet,
-    interfaces: usize,
     /// Precomputed `range -> owning interface` lookup, so the per-packet cost
     /// on the streaming data plane is one binary search plus one array read
     /// instead of a scan over the target distributions.
     owners: Vec<VifIndex>,
 }
 
-fn owner_table(targets: &TargetSet, ranges: &SizeRanges) -> Vec<VifIndex> {
-    (0..ranges.len())
-        .map(|range| {
-            targets
-                .owner_of_range(range)
-                .expect("orthogonal target sets assign every range an owner")
-        })
-        .collect()
+impl OrTables {
+    fn new(ranges: SizeRanges, interfaces: usize) -> Self {
+        let targets = TargetSet::orthogonal(interfaces, ranges.len())
+            .expect("validated interface and range counts");
+        let owners = (0..ranges.len())
+            .map(|range| {
+                targets
+                    .owner_of_range(range)
+                    .expect("orthogonal target sets assign every range an owner")
+            })
+            .collect();
+        OrTables {
+            ranges,
+            targets,
+            owners,
+        }
+    }
 }
+
+/// Interface counts below this share one process-wide [`OrTables`] each.
+const SHARED_INTERFACE_COUNTS: usize = 9;
 
 impl OrthogonalRanges {
     /// Creates an OR scheduler with one interface per size range (the paper's
     /// default `L = I` configuration).
     pub fn new(ranges: SizeRanges) -> Self {
         let interfaces = ranges.len();
-        let targets = TargetSet::orthogonal(interfaces, ranges.len())
-            .expect("ranges are non-empty by construction");
-        let owners = owner_table(&targets, &ranges);
         OrthogonalRanges {
-            ranges,
-            targets,
+            tables: Cow::Owned(OrTables::new(ranges, interfaces)),
             interfaces,
-            owners,
         }
+    }
+
+    /// The paper's OR configuration for `interfaces` virtual interfaces: one
+    /// interface per range of [`SizeRanges::for_interface_count`]. Equal to
+    /// `OrthogonalRanges::new(SizeRanges::for_interface_count(interfaces)?)`,
+    /// but the tables of small interface counts are built once per process
+    /// and borrowed, so a scheduler per station allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of [`SizeRanges::for_interface_count`].
+    pub fn for_interface_count(interfaces: usize) -> Result<Self> {
+        static SHARED: [OnceLock<OrTables>; SHARED_INTERFACE_COUNTS] =
+            [const { OnceLock::new() }; SHARED_INTERFACE_COUNTS];
+        let ranges = SizeRanges::for_interface_count(interfaces)?;
+        let tables = match SHARED.get(interfaces) {
+            Some(slot) => Cow::Borrowed(slot.get_or_init(|| OrTables::new(ranges, interfaces))),
+            None => Cow::Owned(OrTables::new(ranges, interfaces)),
+        };
+        Ok(OrthogonalRanges { tables, interfaces })
     }
 
     /// Creates an OR scheduler with `interfaces < ranges.len()` interfaces:
@@ -64,31 +103,27 @@ impl OrthogonalRanges {
             "cannot have more interfaces ({interfaces}) than size ranges ({})",
             ranges.len()
         );
-        let targets = TargetSet::orthogonal(interfaces, ranges.len())
-            .expect("validated interface and range counts");
-        let owners = owner_table(&targets, &ranges);
         OrthogonalRanges {
-            ranges,
-            targets,
+            tables: Cow::Owned(OrTables::new(ranges, interfaces)),
             interfaces,
-            owners,
         }
     }
 
     /// The size ranges in use.
     pub fn ranges(&self) -> &SizeRanges {
-        &self.ranges
+        &self.tables.ranges
     }
 
     /// The orthogonal target distributions this scheduler realises.
     pub fn targets(&self) -> &TargetSet {
-        &self.targets
+        &self.tables.targets
     }
 }
 
 impl ReshapeAlgorithm for OrthogonalRanges {
     fn assign(&mut self, packet: &PacketRecord) -> VifIndex {
-        self.owners[self.ranges.range_of(packet.size)]
+        let tables = &*self.tables;
+        tables.owners[tables.ranges.range_of(packet.size)]
     }
 
     fn interface_count(&self) -> usize {
@@ -147,6 +182,24 @@ mod tests {
         assert_eq!(or.assign(&packet(2, 800)).index(), 0);
         assert_eq!(or.assign(&packet(3, 1200)).index(), 1);
         assert_eq!(or.assign(&packet(4, 1576)).index(), 0);
+    }
+
+    #[test]
+    fn shared_tables_match_freshly_built_ones() {
+        for interfaces in 1..=12 {
+            let shared = OrthogonalRanges::for_interface_count(interfaces).unwrap();
+            let fresh = OrthogonalRanges::new(SizeRanges::for_interface_count(interfaces).unwrap());
+            assert_eq!(shared, fresh, "{interfaces} interfaces");
+            assert_eq!(shared.interface_count(), interfaces);
+            let again = OrthogonalRanges::for_interface_count(interfaces).unwrap();
+            if interfaces < SHARED_INTERFACE_COUNTS {
+                assert!(
+                    std::ptr::eq(&*shared.tables, &*again.tables),
+                    "{interfaces} interfaces: one table per process"
+                );
+            }
+        }
+        assert!(OrthogonalRanges::for_interface_count(0).is_err());
     }
 
     #[test]

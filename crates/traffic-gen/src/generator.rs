@@ -88,7 +88,7 @@ impl SessionGenerator {
     ///
     /// Panics if the model does not expose a flow specification
     /// ([`TrafficModel::flow_spec`] returns `None`).
-    pub fn stream_secs(&self, duration_secs: f64) -> StreamingSession {
+    pub fn stream_secs(&self, duration_secs: f64) -> StreamingSession<'_> {
         StreamingSession::from_model(self.streamable_spec(), self.seed, Some(duration_secs))
     }
 
@@ -98,7 +98,7 @@ impl SessionGenerator {
     /// # Panics
     ///
     /// Panics if the model does not expose a flow specification.
-    pub fn stream_unbounded(&self) -> StreamingSession {
+    pub fn stream_unbounded(&self) -> StreamingSession<'_> {
         StreamingSession::from_model(self.streamable_spec(), self.seed, None)
     }
 

@@ -28,6 +28,7 @@ use crate::packet::{Direction, PacketRecord};
 use crate::sampler::{Exponential, Normal, SizeMixture};
 use crate::trace::Trace;
 use rand::{Rng, RngCore};
+use std::sync::OnceLock;
 use wlan_sim::time::SimTime;
 
 /// How packets of a flow are spaced in time.
@@ -233,17 +234,28 @@ impl TrafficModel for BidirectionalModel {
 }
 
 /// Returns the calibrated default flow specification for an application (the
-/// substrate of the streaming [`crate::stream::StreamingSession`]).
+/// substrate of the streaming [`crate::stream::StreamingSession`]), as an
+/// owned copy of [`calibrated`]'s.
 pub fn spec_for(app: AppKind) -> BidirectionalModel {
-    match app {
-        AppKind::Browsing => BrowsingModel::default().spec().clone(),
-        AppKind::Chatting => ChattingModel::default().spec().clone(),
-        AppKind::Gaming => GamingModel::default().spec().clone(),
-        AppKind::Downloading => DownloadingModel::default().spec().clone(),
-        AppKind::Uploading => UploadingModel::default().spec().clone(),
-        AppKind::Video => VideoModel::default().spec().clone(),
-        AppKind::BitTorrent => BitTorrentModel::default().spec().clone(),
-    }
+    calibrated(app).clone()
+}
+
+/// The calibrated default flow specification for an application, built once
+/// per process and shared: streaming sessions borrow it, so starting a
+/// session allocates nothing.
+pub fn calibrated(app: AppKind) -> &'static BidirectionalModel {
+    static MODELS: OnceLock<[BidirectionalModel; AppKind::COUNT]> = OnceLock::new();
+    &MODELS.get_or_init(|| {
+        AppKind::ALL.map(|app| match app {
+            AppKind::Browsing => BrowsingModel::default().spec().clone(),
+            AppKind::Chatting => ChattingModel::default().spec().clone(),
+            AppKind::Gaming => GamingModel::default().spec().clone(),
+            AppKind::Downloading => DownloadingModel::default().spec().clone(),
+            AppKind::Uploading => UploadingModel::default().spec().clone(),
+            AppKind::Video => VideoModel::default().spec().clone(),
+            AppKind::BitTorrent => BitTorrentModel::default().spec().clone(),
+        })
+    })[app.class_index()]
 }
 
 /// Returns the calibrated default model for an application.

@@ -10,7 +10,7 @@
 
 use crate::app::AppKind;
 use crate::generator::SessionGenerator;
-use crate::models::{spec_for, BidirectionalModel};
+use crate::models::{calibrated, BidirectionalModel};
 use crate::stream::StreamingSession;
 use crate::trace::Trace;
 use serde::{Deserialize, Error, Serialize, Value};
@@ -38,9 +38,10 @@ impl TrafficSpec {
         }
     }
 
-    /// The calibrated bidirectional flow model behind the spec.
-    pub fn model(&self) -> BidirectionalModel {
-        spec_for(self.app)
+    /// The calibrated bidirectional flow model behind the spec (shared
+    /// process-wide).
+    pub fn model(&self) -> &'static BidirectionalModel {
+        calibrated(self.app)
     }
 
     /// A batch generator over the spec's model and seed.
@@ -49,9 +50,10 @@ impl TrafficSpec {
     }
 
     /// Builds the spec's lazy packet source (bounded by `secs` when given,
-    /// infinite otherwise).
-    pub fn build(&self) -> StreamingSession {
-        StreamingSession::from_model(&self.model(), self.seed, self.secs)
+    /// infinite otherwise). The source borrows the shared calibrated model,
+    /// so building one allocates nothing.
+    pub fn build(&self) -> StreamingSession<'static> {
+        StreamingSession::from_model(self.model(), self.seed, self.secs)
     }
 
     /// Materialises the session as a batch [`Trace`].

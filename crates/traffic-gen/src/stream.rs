@@ -196,10 +196,12 @@ struct BurstState {
 /// [`generate_flow`](crate::models::generate_flow), so for the same spec,
 /// RNG seed and duration bound the two paths produce identical packets
 /// (property-tested in `stream::tests`). Without a duration bound the flow
-/// never ends.
+/// never ends. The spec is borrowed — the calibrated defaults are
+/// process-wide ([`calibrated`](crate::models::calibrated)) — so a stream
+/// holds only its RNG and clock.
 #[derive(Debug, Clone)]
-pub struct FlowStream {
-    spec: FlowSpec,
+pub struct FlowStream<'a> {
+    spec: &'a FlowSpec,
     app: AppKind,
     rng: StdRng,
     clock_secs: f64,
@@ -208,10 +210,10 @@ pub struct FlowStream {
     done: bool,
 }
 
-impl FlowStream {
+impl<'a> FlowStream<'a> {
     /// Creates a lazy flow for `spec`, bounded to `limit_secs` when given
     /// (`None` streams forever).
-    pub fn new(spec: FlowSpec, app: AppKind, rng: StdRng, limit_secs: Option<f64>) -> Self {
+    pub fn new(spec: &'a FlowSpec, app: AppKind, rng: StdRng, limit_secs: Option<f64>) -> Self {
         FlowStream {
             spec,
             app,
@@ -228,7 +230,7 @@ impl FlowStream {
     }
 
     /// Convenience constructor seeding the RNG from a `u64`.
-    pub fn seeded(spec: FlowSpec, app: AppKind, seed: u64, limit_secs: Option<f64>) -> Self {
+    pub fn seeded(spec: &'a FlowSpec, app: AppKind, seed: u64, limit_secs: Option<f64>) -> Self {
         FlowStream::new(spec, app, StdRng::seed_from_u64(seed), limit_secs)
     }
 
@@ -242,16 +244,16 @@ impl FlowStream {
     }
 
     fn emit(&mut self) -> PacketRecord {
-        make_packet(&self.spec, self.app, self.clock_secs, &mut self.rng)
+        make_packet(self.spec, self.app, self.clock_secs, &mut self.rng)
     }
 }
 
-impl PacketSource for FlowStream {
+impl PacketSource for FlowStream<'_> {
     fn next_packet(&mut self) -> Option<PacketRecord> {
         if self.done {
             return None;
         }
-        match self.spec.arrivals.clone() {
+        match self.spec.arrivals {
             ArrivalProcess::Poisson { mean_gap_secs } => {
                 let gaps = Exponential::new(mean_gap_secs);
                 self.clock_secs += gaps.sample(&mut self.rng);
@@ -322,7 +324,7 @@ impl PacketSource for FlowStream {
     }
 }
 
-impl Iterator for FlowStream {
+impl Iterator for FlowStream<'_> {
     type Item = PacketRecord;
 
     fn next(&mut self) -> Option<PacketRecord> {
@@ -337,30 +339,33 @@ impl Iterator for FlowStream {
 /// path cannot express, since an unbounded session never fits in memory as a
 /// [`Trace`]. Each flow draws from its own seed-derived RNG stream, so the
 /// merge needs only one packet of lookahead per direction: memory stays O(1)
-/// regardless of session length.
+/// regardless of session length. The session borrows its model; sessions of
+/// the calibrated defaults are `StreamingSession<'static>`.
 #[derive(Debug, Clone)]
-pub struct StreamingSession {
+pub struct StreamingSession<'a> {
     app: AppKind,
-    downlink: FlowStream,
-    uplink: FlowStream,
+    downlink: FlowStream<'a>,
+    uplink: FlowStream<'a>,
     pending_down: Option<PacketRecord>,
     pending_up: Option<PacketRecord>,
 }
 
-impl StreamingSession {
+impl StreamingSession<'static> {
     /// Creates an **infinite** session for `app` from the calibrated default
     /// model, seeded like the batch generator.
     pub fn unbounded(app: AppKind, seed: u64) -> Self {
-        Self::from_model(&crate::models::spec_for(app), seed, None)
+        Self::from_model(crate::models::calibrated(app), seed, None)
     }
 
     /// Creates a session bounded to `duration_secs` seconds.
     pub fn bounded(app: AppKind, seed: u64, duration_secs: f64) -> Self {
-        Self::from_model(&crate::models::spec_for(app), seed, Some(duration_secs))
+        Self::from_model(crate::models::calibrated(app), seed, Some(duration_secs))
     }
+}
 
+impl<'a> StreamingSession<'a> {
     /// Creates a session from an explicit bidirectional model.
-    pub fn from_model(model: &BidirectionalModel, seed: u64, limit_secs: Option<f64>) -> Self {
+    pub fn from_model(model: &'a BidirectionalModel, seed: u64, limit_secs: Option<f64>) -> Self {
         let app = model.app_kind();
         // The same seed-mixing as the batch generator, then one derived
         // stream per direction (a lazy merge cannot share one sequential RNG).
@@ -374,8 +379,8 @@ impl StreamingSession {
         };
         StreamingSession {
             app,
-            downlink: FlowStream::new(model.downlink().clone(), app, derive(1), limit_secs),
-            uplink: FlowStream::new(model.uplink().clone(), app, derive(2), limit_secs),
+            downlink: FlowStream::new(model.downlink(), app, derive(1), limit_secs),
+            uplink: FlowStream::new(model.uplink(), app, derive(2), limit_secs),
             pending_down: None,
             pending_up: None,
         }
@@ -405,7 +410,7 @@ impl StreamingSession {
     }
 }
 
-impl PacketSource for StreamingSession {
+impl PacketSource for StreamingSession<'_> {
     fn next_packet(&mut self) -> Option<PacketRecord> {
         if self.pending_down.is_none() {
             self.pending_down = self.downlink.next_packet();
@@ -434,7 +439,7 @@ impl PacketSource for StreamingSession {
     }
 }
 
-impl Iterator for StreamingSession {
+impl Iterator for StreamingSession<'_> {
     type Item = PacketRecord;
 
     fn next(&mut self) -> Option<PacketRecord> {
@@ -472,7 +477,7 @@ mod tests {
             for spec in [model.downlink(), model.uplink()] {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let batch = generate_flow(spec, app, &mut rng, 10.0);
-                let stream = FlowStream::seeded(spec.clone(), app, seed, Some(10.0));
+                let stream = FlowStream::seeded(spec, app, seed, Some(10.0));
                 let streamed: Vec<PacketRecord> = stream.collect();
                 prop_assert_eq!(&streamed, &batch);
             }
